@@ -30,6 +30,8 @@ __all__ = [
     "kink_points",
     "array_value",
     "array_derivative",
+    "kind_to_dict",
+    "kind_from_dict",
 ]
 
 ACTIVATION_NAMES = (
@@ -109,10 +111,10 @@ _FORWARD: dict[str, Callable] = {
     "sine": lambda x, p: np.sin(x),
     "relu": lambda x, p: np.maximum(0.0, x),
     "elu": lambda x, p: np.where(x > 0, x, p["alpha"] * np.expm1(np.minimum(x, 0.0))),
-    "prelu": lambda x, p: np.where(x >= 0, x, p["alpha"] * x),
+    "prelu": lambda x, p: prelu_value(x, p["alpha"]),
     "gelu": lambda x, p: x * ndtr(x),
     "silu": lambda x, p: x * _sigmoid(x),
-    "snake": lambda x, p: x + np.square(np.sin(p["a"] * x)) / p["a"],
+    "snake": lambda x, p: snake_value(x, p["a"]),
     "leakysinelu": lambda x, p: _leakysinelu(x),
 }
 
@@ -141,10 +143,10 @@ _DERIVATIVE: dict[str, Callable] = {
     "sine": lambda x, p: np.cos(x),
     "relu": lambda x, p: np.where(x > 0, 1.0, 0.0),
     "elu": lambda x, p: np.where(x > 0, 1.0, p["alpha"] * np.exp(np.minimum(x, 0.0))),
-    "prelu": lambda x, p: np.where(x >= 0, 1.0, p["alpha"]),
+    "prelu": lambda x, p: prelu_grad_x(x, p["alpha"]),
     "gelu": lambda x, p: ndtr(x) + x * _phi(x),
     "silu": lambda x, p: _silu_deriv(x),
-    "snake": lambda x, p: 1.0 + np.sin(2.0 * p["a"] * x),
+    "snake": lambda x, p: snake_grad_x(x, p["a"]),
     "leakysinelu": lambda x, p: _leakysinelu_deriv(x),
 }
 
@@ -215,6 +217,20 @@ def _as_kind(kind) -> ActivationKind:
     if isinstance(kind, ActivationKind):
         return kind
     return activation(kind)
+
+
+def kind_to_dict(kind: ActivationKind) -> dict:
+    """JSON-ready form of a kind: name, parameter values, sorted learnable names."""
+    return {
+        "name": kind.name,
+        "params": dict(kind.params),
+        "learnable": sorted(kind.learnable),
+    }
+
+
+def kind_from_dict(doc: dict) -> ActivationKind:
+    """Inverse of ``kind_to_dict``; re-validates through ``activation``."""
+    return activation(doc["name"], learnable=frozenset(doc["learnable"]), **doc["params"])
 
 
 def array_value(kind, x) -> np.ndarray:

@@ -18,7 +18,6 @@ from .errors import ConfigError, DataError, NumericError, ShapeError
 __all__ = [
     "Tensor",
     "Tape",
-    "backward",
     "affine",
     "conv1d_same",
     "global_avg_pool",
@@ -81,10 +80,6 @@ class Tape:
             if out.grad is None:
                 continue
             fn(out.grad)
-
-
-def backward(tape: Tape, loss: Tensor) -> None:
-    tape.backward(loss)
 
 
 def _check_finite(data: np.ndarray, op: str) -> None:

@@ -4,7 +4,8 @@ A cell is one (dataset, activation, architecture) combination trained with
 the recipe defaults: MLP uses Adadelta (lr 1.0, 1000 epochs), FCN uses Adam
 (lr 0.001, 2000 epochs); batch size 16, per-series z-normalization, one seed.
 Completed and diverged cells are cached in an append-only JSONL store keyed
-by a hash of the full cell configuration; reruns skip them.
+by a hash of the full cell configuration; reruns skip them. ``run_cell`` is
+the one way a cell runs: the sweep and the ``train`` command both call it.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import concurrent.futures
 import hashlib
 import json
+import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -19,9 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import activations as zoo
-from . import kernels
 from .data import Dataset, load_dataset_pair, znormalize
-from .errors import ConfigError, NumericError, ShapeError
+from .errors import ConfigError, DataError, NumericError, ShapeError
 from .models import (
     ModelSpec,
     ModelState,
@@ -44,11 +45,13 @@ __all__ = [
     "train",
     "evaluate",
     "run_sweep",
+    "run_cell",
+    "cell_payload",
     "cell_hash",
     "build_spec",
 ]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 ARCH_DEFAULTS = {
     "mlp": {"optimizer": "adadelta", "learning_rate": 1.0, "epochs": 1000},
@@ -75,7 +78,6 @@ class TrainConfig:
     seed: int = 0
     znorm: str = "per_series"
     norm_enabled: bool = True
-    backend: str = kernels.BACKEND
 
     @staticmethod
     def for_architecture(architecture: str, activation, **overrides) -> "TrainConfig":
@@ -86,17 +88,14 @@ class TrainConfig:
         if architecture == "mlp":
             values["norm_enabled"] = False
         values.update({k: v for k, v in overrides.items() if v is not None})
-        kind = activation if isinstance(activation, zoo.ActivationKind) else zoo.activation(activation)
-        return TrainConfig(architecture=architecture, activation=kind, **values)
+        return TrainConfig(
+            architecture=architecture, activation=zoo._as_kind(activation), **values
+        )
 
     def to_dict(self) -> dict:
         return {
             "architecture": self.architecture,
-            "activation": {
-                "name": self.activation.name,
-                "params": dict(self.activation.params),
-                "learnable": sorted(self.activation.learnable),
-            },
+            "activation": zoo.kind_to_dict(self.activation),
             "optimizer": self.optimizer,
             "learning_rate": self.learning_rate,
             "epochs": self.epochs,
@@ -104,16 +103,13 @@ class TrainConfig:
             "seed": self.seed,
             "znorm": self.znorm,
             "norm_enabled": self.norm_enabled,
-            "backend": self.backend,
         }
 
     @staticmethod
     def from_dict(doc: dict) -> "TrainConfig":
-        act = doc["activation"]
-        kind = zoo.activation(act["name"], learnable=frozenset(act["learnable"]), **act["params"])
         return TrainConfig(
             architecture=doc["architecture"],
-            activation=kind,
+            activation=zoo.kind_from_dict(doc["activation"]),
             optimizer=doc["optimizer"],
             learning_rate=doc["learning_rate"],
             epochs=doc["epochs"],
@@ -121,7 +117,6 @@ class TrainConfig:
             seed=doc["seed"],
             znorm=doc["znorm"],
             norm_enabled=doc["norm_enabled"],
-            backend=doc["backend"],
         )
 
     def make_optimizer(self):
@@ -183,6 +178,17 @@ class RunResult:
 def cell_hash(dataset_name: str, config: TrainConfig) -> str:
     doc = {"dataset": dataset_name, "config": config.to_dict()}
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+def cell_payload(dataset: str, config: TrainConfig, data_root, checkpoint_dir=None) -> dict:
+    """The plain-dict description of one cell that ``run_cell`` executes."""
+    return {
+        "dataset": dataset,
+        "config": config.to_dict(),
+        "config_hash": cell_hash(dataset, config),
+        "data_root": str(data_root),
+        "checkpoint_dir": str(checkpoint_dir) if checkpoint_dir else None,
+    }
 
 
 def build_spec(config: TrainConfig, dataset: Dataset) -> ModelSpec:
@@ -301,7 +307,12 @@ def run_cell(payload: dict) -> dict:
 
 
 class ResultsStore:
-    """Append-only JSONL store; one record per cell outcome."""
+    """Append-only JSONL store; one record per cell outcome.
+
+    A record counts once its line ends in a newline. An unterminated last
+    line is the torn tail of an interrupted append: ``load`` ignores it, so
+    that cell runs again, and ``append`` cuts it off before writing.
+    """
 
     def __init__(self, path):
         self.path = Path(path)
@@ -310,11 +321,16 @@ class ResultsStore:
         if not self.path.is_file():
             return []
         records = []
-        with open(self.path) as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
+        with open(self.path, "rb") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.endswith(b"\n"):
+                    break
+                if not line.strip():
+                    continue
+                try:
                     records.append(json.loads(line))
+                except ValueError as exc:
+                    raise DataError(f"{self.path}:{lineno}: malformed record: {exc}") from exc
         return records
 
     def settled_hashes(self) -> set[str]:
@@ -327,8 +343,14 @@ class ResultsStore:
 
     def append(self, record: dict) -> None:
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "a") as fh:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+        with open(self.path, "a+b") as fh:
+            end = fh.seek(0, os.SEEK_END)
+            if end:
+                fh.seek(end - 1)
+                if fh.read(1) != b"\n":
+                    fh.seek(0)
+                    fh.truncate(fh.read().rfind(b"\n") + 1)
+            fh.write((json.dumps(record, sort_keys=True) + "\n").encode())
 
 
 @dataclass
@@ -360,19 +382,14 @@ def run_sweep(
     if not dataset_names or not activation_names:
         raise ConfigError("sweep needs at least one dataset and one activation")
     overrides = overrides or {}
-    cells = []
-    for ds in dataset_names:
-        for act in activation_names:
-            config = TrainConfig.for_architecture(architecture, act, **overrides)
-            cells.append(
-                {
-                    "dataset": ds,
-                    "config": config.to_dict(),
-                    "config_hash": cell_hash(ds, config),
-                    "data_root": str(data_root),
-                    "checkpoint_dir": str(checkpoint_dir) if checkpoint_dir else None,
-                }
-            )
+    cells = [
+        cell_payload(
+            ds, TrainConfig.for_architecture(architecture, act, **overrides),
+            data_root, checkpoint_dir,
+        )
+        for ds in dataset_names
+        for act in activation_names
+    ]
     settled = store.settled_hashes()
     pending = [c for c in cells if c["config_hash"] not in settled]
     outcome = SweepOutcome(records=[], n_cached=len(cells) - len(pending))

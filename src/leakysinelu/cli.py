@@ -16,7 +16,6 @@ import argparse
 import hashlib
 import json
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -24,21 +23,10 @@ import numpy as np
 from . import __version__
 from . import activations as zoo
 from . import kernels
-from .bench import (
-    DivergenceError,
-    ResultsStore,
-    RunResult,
-    TrainConfig,
-    build_spec,
-    cell_hash,
-    evaluate,
-    run_sweep,
-    train,
-)
+from .bench import ResultsStore, TrainConfig, cell_payload, run_cell, run_sweep
 from .data import data_root as resolve_data_root
-from .data import load_dataset_pair, znormalize
+from .data import load_dataset_pair
 from .errors import ConfigError, DataError, LeakySineLUError, NumericError
-from .models import save_checkpoint
 from .properties import dead_region_trace, property_report, report_to_dict
 from .stats import build_report, matrix_from_records, write_report_files
 
@@ -177,44 +165,18 @@ def cmd_train(args) -> int:
         "out": args.out,
     }
     outdir = _invocation_dir("train", args.out, resolved)
-    train_ds, test_ds = load_dataset_pair(root, args.dataset)
-    train_ds = znormalize(train_ds, config.znorm)
-    test_ds = znormalize(test_ds, config.znorm)
-    spec = build_spec(config, train_ds)
-    digest = cell_hash(args.dataset, config)
-    store = ResultsStore(outdir / "results.jsonl")
-    started = time.perf_counter()
-    try:
-        state, history, opt_state = train(spec, train_ds, config)
-    except DivergenceError as exc:
-        result = RunResult(
-            dataset=args.dataset,
-            config=config.to_dict(),
-            config_hash=digest,
-            status="diverged",
-            error=str(exc),
-            diverged_epoch=exc.epoch,
-            seconds=time.perf_counter() - started,
-        )
-        store.append(result.to_record())
-        print(f"diverged at epoch {exc.epoch}: {exc}", file=sys.stderr)
+    load_dataset_pair(root, args.dataset)  # fail fast on missing/malformed data
+    record = run_cell(cell_payload(args.dataset, config, root, checkpoint_dir=outdir))
+    ResultsStore(outdir / "results.jsonl").append(record)
+    if record["status"] == "diverged":
+        print(f"diverged at epoch {record['diverged_epoch']}: {record['error']}",
+              file=sys.stderr)
         return EXIT_DIVERGED
-    accuracy = evaluate(state, spec, test_ds)
-    ckpt = outdir / f"{digest}.npz"
-    save_checkpoint(ckpt, spec, state, opt_state)
-    result = RunResult(
-        dataset=args.dataset,
-        config=config.to_dict(),
-        config_hash=digest,
-        status="completed",
-        accuracy=accuracy,
-        final_train_loss=history[-1] if history else None,
-        seconds=time.perf_counter() - started,
-        checkpoint=str(ckpt),
-    )
-    store.append(result.to_record())
+    if record["status"] != "completed":
+        print(f"error: {record['error']}", file=sys.stderr)
+        return 1
     print(f"dataset={args.dataset} arch={args.arch} activation={config.activation.name} "
-          f"accuracy={accuracy:.6f}")
+          f"accuracy={record['accuracy']:.6f}")
     print(f"results under {outdir}")
     return EXIT_OK
 
@@ -378,40 +340,51 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--input", help="tab/space-separated values or a file path")
     group.add_argument("--grid", nargs=3, type=float, metavar=("LO", "HI", "N"),
-                       help="evaluate on N points from LO to HI; write a negative "
-                       "bound in plain decimal (-0.001, not -1e-3)")
+                       help="evaluate on N points from LO to HI")
     p.add_argument("--out", dest="out_file")
     p.set_defaults(func=cmd_trace)
+    for p in (parser, *sub.choices.values()):
+        p.allow_abbrev = False  # "--inp V" would bypass _protect_dash_values
     return parser
 
 
-def _join_input_values(argv: list[str]) -> list[str]:
-    """Rewrite ``--input V`` as the single token ``--input=V``.
+def _positional_number(token: str) -> str:
+    """A '-'-led number such as "-1e-3" in exact positional form ("-0.001")."""
+    try:
+        value = float(token)
+    except ValueError:
+        return token
+    return np.format_float_positional(value, trim="-") if np.isfinite(value) else token
+
+
+def _protect_dash_values(argv: list[str]) -> list[str]:
+    """Keep values that start with '-' from being read as options.
 
     argparse reads a token that starts with '-' as an option unless it is a
-    plain negative number or holds a space, so a tab-separated row such as
-    "-1.0\t2.0", or a lone "-1e-3", would be rejected as a missing value.
+    plain negative number or holds a space. So ``--input V`` becomes the
+    single token ``--input=V`` (a tab-separated row such as "-1.0\t2.0"),
+    and any other '-'-led number, such as a ``--grid`` bound "-1e-3", is
+    written in the positional form that argparse accepts.
     """
     out: list[str] = []
     tokens = iter(argv)
     for token in tokens:
         if token == "--input" and (value := next(tokens, None)) is not None:
             token = f"--input={value}"
+        elif token.startswith("-"):
+            token = _positional_number(token)
         out.append(token)
     return out
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(_join_input_values(sys.argv[1:] if argv is None else argv))
+    args = parser.parse_args(_protect_dash_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except DivergenceError as exc:
-        print(f"error: diverged at epoch {exc.epoch}: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -1,8 +1,9 @@
 """UCR-style dataset loading: tab-separated, label first, one series per row.
 
 Only the equal-length univariate layout is supported; ragged rows are
-rejected. Labels are re-encoded to 0..C-1 in ascending numeric order of the
-original values, and train/test splits of one dataset share the encoding.
+rejected, and so are missing (NaN) or infinite labels and values. Labels
+are re-encoded to 0..C-1 in ascending numeric order of the original
+values, and train/test splits of one dataset share the encoding.
 """
 
 from __future__ import annotations
@@ -93,15 +94,18 @@ def load_ucr_split(
             if len(fields) < 2:
                 raise DataError(f"{path}:{lineno}: need a label and at least one value")
             try:
-                values = np.array([float(v) for v in fields[1:]], dtype=np.float64)
-                float(fields[0])
+                numbers = np.array([float(v) for v in fields], dtype=np.float64)
             except ValueError as exc:
                 bad = next(
                     (c + 1 for c, v in enumerate(fields) if not _is_number(v)), None
                 )
                 raise DataError(f"{path}:{lineno}: non-numeric field at column {bad}") from exc
+            finite = np.isfinite(numbers)
+            if not finite.all():
+                col = int(np.argmin(finite)) + 1
+                raise DataError(f"{path}:{lineno}:{col}: non-finite value {fields[col - 1]!r}")
             raw_labels.append(fields[0])
-            rows.append(values)
+            rows.append(numbers[1:])
     if not rows:
         raise DataError(f"{path}: empty dataset")
     lengths = {len(r) for r in rows}

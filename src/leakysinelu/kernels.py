@@ -1,11 +1,7 @@
-"""Hot inner kernels: 1-D convolution and fused optimizer updates.
+"""Hot inner kernels: 1-D convolution and fused optimizer updates, in numpy.
 
-Each kernel has two interchangeable backends: numba-jitted loops and a pure
-numpy path. Numba is the default when importable; set
-``LEAKYSINELU_NO_NUMBA=1`` to force numpy. The optimizer kernels follow the
-numpy path's elementwise rounding order exactly, so both backends agree
-bitwise there; the convolution backends differ only in float summation
-order. ``benchmarks/bench_kernels.py`` compares the two.
+Callers look these names up on the module at each call
+(``kernels.conv1d_forward(...)``), so a profiler can wrap them in place.
 
 Convolution kernels operate on the already-padded input ``xp`` of shape
 (B, Cin, Lp) with Lp = L + K - 1, so the output length is exactly L.
@@ -13,8 +9,6 @@ Cross-correlation convention, stride 1.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -25,26 +19,9 @@ __all__ = [
     "conv1d_grad_input",
     "adam_update",
     "adadelta_update",
-    "conv1d_forward_numpy",
-    "conv1d_grad_kernel_numpy",
-    "conv1d_grad_input_numpy",
-    "adam_update_numpy",
-    "adadelta_update_numpy",
 ]
 
-_DISABLED = os.environ.get("LEAKYSINELU_NO_NUMBA", "").strip().lower() in {
-    "1",
-    "true",
-    "yes",
-    "on",
-}
-
-try:
-    from numba import njit
-
-    _HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    _HAS_NUMBA = False
+BACKEND = "numpy"
 
 
 def _cols(xp: np.ndarray, k_width: int) -> np.ndarray:
@@ -55,7 +32,7 @@ def _cols(xp: np.ndarray, k_width: int) -> np.ndarray:
     return win.transpose(0, 2, 1, 3).reshape(b * length, cin * k_width)
 
 
-def conv1d_forward_numpy(xp: np.ndarray, w: np.ndarray) -> np.ndarray:
+def conv1d_forward(xp: np.ndarray, w: np.ndarray) -> np.ndarray:
     b, _, lp = xp.shape
     cout, cin, k_width = w.shape
     length = lp - k_width + 1
@@ -63,7 +40,7 @@ def conv1d_forward_numpy(xp: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(out.reshape(b, length, cout).transpose(0, 2, 1))
 
 
-def conv1d_grad_kernel_numpy(g: np.ndarray, xp: np.ndarray, k_width: int) -> np.ndarray:
+def conv1d_grad_kernel(g: np.ndarray, xp: np.ndarray, k_width: int) -> np.ndarray:
     b, cout, length = g.shape
     cin = xp.shape[1]
     gm = g.transpose(0, 2, 1).reshape(b * length, cout)
@@ -71,7 +48,7 @@ def conv1d_grad_kernel_numpy(g: np.ndarray, xp: np.ndarray, k_width: int) -> np.
     return dw.reshape(cout, cin, k_width)
 
 
-def conv1d_grad_input_numpy(g: np.ndarray, w: np.ndarray, lp: int) -> np.ndarray:
+def conv1d_grad_input(g: np.ndarray, w: np.ndarray, lp: int) -> np.ndarray:
     b, cout, length = g.shape
     cin, k_width = w.shape[1], w.shape[2]
     gm = g.transpose(0, 2, 1).reshape(b * length, cout)
@@ -82,7 +59,7 @@ def conv1d_grad_input_numpy(g: np.ndarray, w: np.ndarray, lp: int) -> np.ndarray
     return dxp
 
 
-def adam_update_numpy(p, g, m, v, beta1, beta2, scale, c2, eps):
+def adam_update(p, g, m, v, beta1, beta2, scale, c2, eps):
     """One bias-corrected Adam update on flat views, in place."""
     m *= beta1
     m += (1.0 - beta1) * g
@@ -95,7 +72,7 @@ def adam_update_numpy(p, g, m, v, beta1, beta2, scale, c2, eps):
     p -= step
 
 
-def adadelta_update_numpy(p, g, sq_grad, sq_update, lr, rho, eps):
+def adadelta_update(p, g, sq_grad, sq_update, lr, rho, eps):
     """One Adadelta update on flat views, in place."""
     sq_grad *= rho
     sq_grad += (1.0 - rho) * np.square(g)
@@ -105,98 +82,3 @@ def adadelta_update_numpy(p, g, sq_grad, sq_update, lr, rho, eps):
     sq_update *= rho
     sq_update += (1.0 - rho) * np.square(delta)
     p += lr * delta
-
-
-if _HAS_NUMBA:
-
-    @njit(cache=True)
-    def adam_update_numba(p, g, m, v, beta1, beta2, scale, c2, eps):  # pragma: no cover
-        for i in range(p.size):
-            mi = beta1 * m[i] + (1.0 - beta1) * g[i]
-            vi = beta2 * v[i] + (1.0 - beta2) * (g[i] * g[i])
-            m[i] = mi
-            v[i] = vi
-            denom = np.sqrt(vi / c2) + eps
-            step = (mi / denom) * scale
-            p[i] -= step
-
-    @njit(cache=True)
-    def adadelta_update_numba(p, g, sq_grad, sq_update, lr, rho, eps):  # pragma: no cover
-        for i in range(p.size):
-            sg = rho * sq_grad[i] + (1.0 - rho) * (g[i] * g[i])
-            sq_grad[i] = sg
-            delta = -(np.sqrt((sq_update[i] + eps) / (sg + eps)) * g[i])
-            sq_update[i] = rho * sq_update[i] + (1.0 - rho) * (delta * delta)
-            p[i] += lr * delta
-
-    @njit(cache=True)
-    def _conv1d_forward_nb(xp, w, out):  # pragma: no cover - jitted
-        b, cin, _ = xp.shape
-        cout, _, k_width = w.shape
-        length = out.shape[2]
-        for i in range(b):
-            for co in range(cout):
-                for ci in range(cin):
-                    for j in range(k_width):
-                        wv = w[co, ci, j]
-                        for t in range(length):
-                            out[i, co, t] += xp[i, ci, t + j] * wv
-
-    @njit(cache=True)
-    def _conv1d_grad_kernel_nb(g, xp, dw):  # pragma: no cover - jitted
-        b, cout, length = g.shape
-        cin = xp.shape[1]
-        k_width = dw.shape[2]
-        for i in range(b):
-            for co in range(cout):
-                for ci in range(cin):
-                    for j in range(k_width):
-                        acc = 0.0
-                        for t in range(length):
-                            acc += g[i, co, t] * xp[i, ci, t + j]
-                        dw[co, ci, j] += acc
-
-    @njit(cache=True)
-    def _conv1d_grad_input_nb(g, w, dxp):  # pragma: no cover - jitted
-        b, cout, length = g.shape
-        cin, k_width = w.shape[1], w.shape[2]
-        for i in range(b):
-            for co in range(cout):
-                for ci in range(cin):
-                    for j in range(k_width):
-                        wv = w[co, ci, j]
-                        for t in range(length):
-                            dxp[i, ci, t + j] += g[i, co, t] * wv
-
-    def conv1d_forward_numba(xp: np.ndarray, w: np.ndarray) -> np.ndarray:
-        b, _, lp = xp.shape
-        cout, _, k_width = w.shape
-        out = np.zeros((b, cout, lp - k_width + 1))
-        _conv1d_forward_nb(xp, w, out)
-        return out
-
-    def conv1d_grad_kernel_numba(g: np.ndarray, xp: np.ndarray, k_width: int) -> np.ndarray:
-        dw = np.zeros((g.shape[1], xp.shape[1], k_width))
-        _conv1d_grad_kernel_nb(g, xp, dw)
-        return dw
-
-    def conv1d_grad_input_numba(g: np.ndarray, w: np.ndarray, lp: int) -> np.ndarray:
-        dxp = np.zeros((g.shape[0], w.shape[1], lp))
-        _conv1d_grad_input_nb(g, w, dxp)
-        return dxp
-
-
-if _HAS_NUMBA and not _DISABLED:
-    BACKEND = "numba"
-    conv1d_forward = conv1d_forward_numba
-    conv1d_grad_kernel = conv1d_grad_kernel_numba
-    conv1d_grad_input = conv1d_grad_input_numba
-    adam_update = adam_update_numba
-    adadelta_update = adadelta_update_numba
-else:
-    BACKEND = "numpy"
-    conv1d_forward = conv1d_forward_numpy
-    conv1d_grad_kernel = conv1d_grad_kernel_numpy
-    conv1d_grad_input = conv1d_grad_input_numpy
-    adam_update = adam_update_numpy
-    adadelta_update = adadelta_update_numpy

@@ -50,11 +50,7 @@ class ModelSpec:
     def to_json(self) -> str:
         doc = {
             "architecture": self.architecture,
-            "activation": {
-                "name": self.activation.name,
-                "params": dict(self.activation.params),
-                "learnable": sorted(self.activation.learnable),
-            },
+            "activation": zoo.kind_to_dict(self.activation),
             "input_length": self.input_length,
             "n_classes": self.n_classes,
             "norm_enabled": self.norm_enabled,
@@ -67,13 +63,9 @@ class ModelSpec:
     @staticmethod
     def from_json(text: str) -> "ModelSpec":
         doc = json.loads(text)
-        act = doc["activation"]
-        kind = zoo.activation(
-            act["name"], learnable=frozenset(act["learnable"]), **act["params"]
-        )
         return ModelSpec(
             architecture=doc["architecture"],
-            activation=kind,
+            activation=zoo.kind_from_dict(doc["activation"]),
             input_length=int(doc["input_length"]),
             n_classes=int(doc["n_classes"]),
             norm_enabled=bool(doc["norm_enabled"]),
@@ -105,12 +97,6 @@ def _head(n_classes: int) -> tuple[str, int]:
     return "softmax", n_classes
 
 
-def _as_kind(activation) -> zoo.ActivationKind:
-    if isinstance(activation, zoo.ActivationKind):
-        return activation
-    return zoo.activation(activation)
-
-
 def build_mlp(input_length: int, n_classes: int, activation) -> ModelSpec:
     """Dropout(.1)+dense(500), dropout(.2)+dense(500), dropout(.3)+head."""
     _check_sizes(input_length, n_classes)
@@ -127,7 +113,7 @@ def build_mlp(input_length: int, n_classes: int, activation) -> ModelSpec:
     )
     return ModelSpec(
         architecture="mlp",
-        activation=_as_kind(activation),
+        activation=zoo._as_kind(activation),
         input_length=input_length,
         n_classes=n_classes,
         norm_enabled=False,
@@ -153,7 +139,7 @@ def build_fcn(
     layers.append({"type": "dense", "units": units})
     return ModelSpec(
         architecture="fcn",
-        activation=_as_kind(activation),
+        activation=zoo._as_kind(activation),
         input_length=input_length,
         n_classes=n_classes,
         norm_enabled=norm_enabled,

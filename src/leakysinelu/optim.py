@@ -1,8 +1,8 @@
 """Adam and Adadelta parameter updates.
 
-The elementwise update loops run through the hot-kernel layer (numba by
-default, numpy fallback); both backends round identically, so results do
-not depend on the backend here.
+The elementwise update of each parameter tensor runs as one in-place numpy
+kernel (``kernels.adam_update`` / ``kernels.adadelta_update``) on flat
+views of the parameter, its gradient and its accumulators.
 """
 
 from __future__ import annotations

@@ -34,7 +34,6 @@ __all__ = [
 ]
 
 CONVERGENCE_TOL = 1e-9
-OSCILLATION_TOL = 1e-3
 MONOTONE_TOL = 1e-12
 DEAD_TOL = 1e-12
 
@@ -62,11 +61,6 @@ def check_limits(kind, magnitudes=(1e3, 1e6, 1e9)) -> tuple[TailEstimate, TailEs
     """Probe both tails at increasing magnitudes and classify each one."""
     kind = zoo._as_kind(kind)
     return _tail(kind, -1.0, magnitudes), _tail(kind, 1.0, magnitudes)
-
-
-def oscillation_probe(kind, sign: float = 1.0) -> float:
-    """|sigma(s*1e6) - sigma(s*(1e6+1))|, large for oscillating tails."""
-    return abs(zoo.evaluate(kind, sign * 1e6) - zoo.evaluate(kind, sign * (1e6 + 1)))
 
 
 def _open_grid(lo: float, hi: float, n: int) -> np.ndarray:

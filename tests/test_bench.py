@@ -15,7 +15,7 @@ from leakysinelu.bench import (
     train,
 )
 from leakysinelu.data import Dataset
-from leakysinelu.errors import ConfigError
+from leakysinelu.errors import ConfigError, DataError
 from leakysinelu.models import init_params
 
 from conftest import make_ucr_root, toy_sine_vs_flat
@@ -193,3 +193,32 @@ class TestRunResult:
         )
         assert record["status"] == "completed"
         assert record["final_train_loss"] is not None
+
+
+class TestResultsStore:
+    def _records(self):
+        return [{"config_hash": f"h{i}", "status": "completed", "accuracy": i / 4}
+                for i in range(3)]
+
+    def test_torn_store_at_every_byte_offset(self, tmp_path):
+        store = ResultsStore(tmp_path / "results.jsonl")
+        records = self._records()
+        for record in records:
+            store.append(record)
+        full = store.path.read_bytes()
+        extra = {"config_hash": "new", "status": "completed", "accuracy": 1.0}
+        for cut in range(len(full) + 1):
+            store.path.write_bytes(full[:cut])
+            loaded = store.load()
+            assert loaded == records[: len(loaded)]
+            assert len(loaded) == full[:cut].count(b"\n")
+            store.append(extra)
+            assert store.load() == loaded + [extra]
+
+    def test_malformed_terminated_line_names_line(self, tmp_path):
+        store = ResultsStore(tmp_path / "results.jsonl")
+        store.append(self._records()[0])
+        with open(store.path, "a") as fh:
+            fh.write('{"config_hash": \n')
+        with pytest.raises(DataError, match="results.jsonl:2:"):
+            store.load()

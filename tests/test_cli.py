@@ -16,6 +16,15 @@ def read_jsonl(path):
     return [json.loads(line) for line in path.read_text().splitlines() if line.strip()]
 
 
+def poison(root, name, value="nan"):
+    """Overwrite the first value of the third training row; return the file."""
+    path = root / name / f"{name}_TRAIN.tsv"
+    rows = [line.split("\t") for line in path.read_text().splitlines()]
+    rows[2][1] = value
+    path.write_text("".join("\t".join(r) + "\n" for r in rows))
+    return path
+
+
 class TestAnalyze:
     def test_all_activations(self, tmp_path, capsys):
         assert run(["analyze", "--activation", "all", "--out", str(tmp_path)]) == 0
@@ -64,6 +73,33 @@ class TestTrain:
         outdir = next((tmp_path / "out").glob("train-*"))
         records = read_jsonl(outdir / "results.jsonl")
         assert records[0]["status"] == "completed"
+
+    @pytest.mark.parametrize("epochs", ["0", "2"])
+    def test_record_matches_bench_cell(self, tmp_path, epochs):
+        root = make_ucr_root(tmp_path / "ucr", ["S1"], n_train=8, n_test=8, length=12)
+        common = ["--arch", "mlp", "--data-root", str(root), "--epochs", epochs]
+        assert run(["train", "--activation", "prelu", "--dataset", "S1", *common,
+                    "--out", str(tmp_path / "t")]) == 0
+        assert run(["bench", "--activations", "prelu", "--datasets", "S1", *common,
+                    "--out", str(tmp_path / "b")]) == 0
+        records = []
+        for out in ("t", "b"):
+            (record,) = read_jsonl(next((tmp_path / out).glob("*-*")) / "results.jsonl")
+            del record["seconds"], record["checkpoint"]
+            records.append(record)
+        assert records[0] == records[1]
+        assert records[0]["final_train_loss"] is not None
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_data_exits_3(self, tmp_path, capsys, value):
+        root = make_ucr_root(tmp_path / "ucr", ["S1"], n_train=8, n_test=8, length=12)
+        path = poison(root, "S1", value)
+        code = run([
+            "train", "--arch", "mlp", "--activation", "relu", "--dataset", "S1",
+            "--data-root", str(root), "--epochs", "1", "--out", str(tmp_path / "out"),
+        ])
+        assert code == 3
+        assert f"{path}:3:2: non-finite" in capsys.readouterr().err
 
     def test_missing_dataset_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -129,6 +165,16 @@ class TestBench:
             "--out", str(tmp_path / "out"),
         ])
         assert code == 2
+
+    def test_non_finite_data_exits_3_without_caching(self, tmp_path):
+        root = make_ucr_root(tmp_path / "ucr", ["S1", "S2"], n_train=8, n_test=8, length=12)
+        poison(root, "S2")
+        code = run([
+            "bench", "--arch", "mlp", "--activations", "relu", "--datasets", "S1,S2",
+            "--data-root", str(root), "--epochs", "1", "--out", str(tmp_path / "out"),
+        ])
+        assert code == 3
+        assert not list((tmp_path / "out").glob("*/results.jsonl"))
 
     def test_parallel_matches_serial(self, tmp_path):
         root = make_ucr_root(tmp_path / "ucr", ["S1"], n_train=8, n_test=8, length=12)
@@ -218,7 +264,8 @@ class TestTrace:
         (["--input", "-1e-3"], "1.0"),
         (["--input", "-1.0 -0.5 2.0 3.0"], "0.5"),
         (["--input=-1.0\t2.0"], "0.5"),
-    ], ids=["scientific", "space-separated", "equals-form"])
+        (["--grid", "-1e-3", "1", "5"], "0.2"),
+    ], ids=["scientific", "space-separated", "equals-form", "grid-scientific"])
     def test_dash_leading_input(self, input_args, fraction, capsys):
         code = run(["trace", "--activation", "relu", *input_args])
         assert code == 0
@@ -237,6 +284,13 @@ class TestTrace:
             run(["trace", "--activation", "relu", "--input"])
         assert exc.value.code == 2
         assert "argument --input: expected one argument" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["-1e-3", "0.5"])
+    def test_abbreviated_option_exits_2(self, value):
+        # Abbreviations are off, so "--inp" fails the same way for any value.
+        with pytest.raises(SystemExit) as exc:
+            run(["trace", "--activation", "relu", "--inp", value])
+        assert exc.value.code == 2
 
     def test_input_file(self, tmp_path, capsys):
         p = tmp_path / "series.tsv"

@@ -41,6 +41,20 @@ class TestLoad:
         with pytest.raises(DataError, match="column 3"):
             load_ucr_split(p)
 
+    @pytest.mark.parametrize("row, column", [
+        ("1\t0.5\tnan\n", 3),
+        ("1\tNaN\t0.5\n", 2),
+        ("1\t0.5\tinf\n", 3),
+        ("1\t-Infinity\t0.5\n", 2),
+        ("nan\t0.5\t0.5\n", 1),
+        ("inf\t0.5\t0.5\n", 1),
+    ], ids=["nan", "NaN", "inf", "-Infinity", "nan-label", "inf-label"])
+    def test_non_finite_field_reported(self, tmp_path, row, column):
+        p = tmp_path / "d.tsv"
+        p.write_text("2\t1.0\t2.0\n" + row)
+        with pytest.raises(DataError, match=f"d.tsv:2:{column}: non-finite"):
+            load_ucr_split(p)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
             load_ucr_split(tmp_path / "absent.tsv")
