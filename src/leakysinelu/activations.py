@@ -3,7 +3,14 @@
 Ten activations are supported, addressable by canonical lowercase name:
 sigmoid, tanh, sine, relu, elu, prelu, gelu, silu, snake, leakysinelu.
 All math is evaluated in 64-bit floats. Functions accept scalars or numpy
-arrays and broadcast elementwise.
+arrays and broadcast elementwise; parameter values may be arrays that
+broadcast against the input (a trainable per-channel prelu alpha or snake a).
+
+Every fact about an activation lives in one table of this module, keyed by
+its name: ``_FORWARD``, ``_DERIVATIVE``, ``_PARAM_DERIVATIVE`` (trainable
+kinds only), ``_PARAM_DEFAULTS``, ``_KINK_SLOPES`` and ``_CATALOG``. Adding
+an activation means one entry in each table that applies, and nothing
+outside this file.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ __all__ = [
     "kink_points",
     "array_value",
     "array_derivative",
+    "param_derivative",
     "kind_to_dict",
     "kind_from_dict",
 ]
@@ -111,10 +119,10 @@ _FORWARD: dict[str, Callable] = {
     "sine": lambda x, p: np.sin(x),
     "relu": lambda x, p: np.maximum(0.0, x),
     "elu": lambda x, p: np.where(x > 0, x, p["alpha"] * np.expm1(np.minimum(x, 0.0))),
-    "prelu": lambda x, p: prelu_value(x, p["alpha"]),
+    "prelu": lambda x, p: np.where(x >= 0, x, p["alpha"] * x),
     "gelu": lambda x, p: x * ndtr(x),
     "silu": lambda x, p: x * _sigmoid(x),
-    "snake": lambda x, p: snake_value(x, p["a"]),
+    "snake": lambda x, p: x + np.square(np.sin(p["a"] * x)) / p["a"],
     "leakysinelu": lambda x, p: _leakysinelu(x),
 }
 
@@ -143,11 +151,19 @@ _DERIVATIVE: dict[str, Callable] = {
     "sine": lambda x, p: np.cos(x),
     "relu": lambda x, p: np.where(x > 0, 1.0, 0.0),
     "elu": lambda x, p: np.where(x > 0, 1.0, p["alpha"] * np.exp(np.minimum(x, 0.0))),
-    "prelu": lambda x, p: prelu_grad_x(x, p["alpha"]),
+    "prelu": lambda x, p: np.where(x >= 0, 1.0, p["alpha"]),
     "gelu": lambda x, p: ndtr(x) + x * _phi(x),
     "silu": lambda x, p: _silu_deriv(x),
-    "snake": lambda x, p: snake_grad_x(x, p["a"]),
+    "snake": lambda x, p: 1.0 + np.sin(2.0 * p["a"] * x),
     "leakysinelu": lambda x, p: _leakysinelu_deriv(x),
+}
+
+# Partial of the output w.r.t. the kind's one parameter; only the kinds
+# listed here may train it.
+_PARAM_DERIVATIVE: dict[str, Callable] = {
+    "prelu": lambda x, p: np.where(x < 0, x, 0.0),
+    "snake": lambda x, p: (x * np.sin(2.0 * p["a"] * x) / p["a"]
+                           - np.square(np.sin(p["a"] * x)) / np.square(p["a"])),
 }
 
 # (defaults, learnable-by-default) per parametric kind.
@@ -157,10 +173,12 @@ _PARAM_DEFAULTS: dict[str, tuple[dict[str, float], frozenset[str]]] = {
     "snake": ({"a": 1.0}, frozenset()),
 }
 
-_KINKS: dict[str, tuple[float, ...]] = {
-    "relu": (0.0,),
-    "prelu": (0.0,),
-    "leakysinelu": (0.0,),
+# One-sided slopes (left, right) at the kink x = 0, from the params.
+_KINK_SLOPES: dict[str, Callable] = {
+    "relu": lambda p: (0.0, 1.0),
+    "prelu": lambda p: (p["alpha"], 1.0),
+    # One-sided limits of sin(2x)+1 and its halved branch.
+    "leakysinelu": lambda p: (0.5, 1.0),
 }
 
 _INF = float("inf")
@@ -200,6 +218,8 @@ def activation(name: str, *, learnable=None, **params: float) -> ActivationKind:
     flags = default_learnable if learnable is None else frozenset(learnable)
     if not flags <= set(merged):
         raise ConfigError(f"learnable flags {sorted(flags)} not all parameters of {name}")
+    if flags and name not in _PARAM_DERIVATIVE:
+        raise ConfigError(f"{name} has no trainable parameter; drop {sorted(flags)}")
     return ActivationKind(name=name, params=merged, learnable=flags)
 
 
@@ -233,37 +253,51 @@ def kind_from_dict(doc: dict) -> ActivationKind:
     return activation(doc["name"], learnable=frozenset(doc["learnable"]), **doc["params"])
 
 
-def array_value(kind, x) -> np.ndarray:
-    """Vectorized forward value; no domain checks (engine-internal path)."""
+def array_value(kind, x, params=None) -> np.ndarray:
+    """Vectorized forward value; no domain checks (engine-internal path).
+
+    ``params`` replaces ``kind.params``; its values may be arrays that
+    broadcast against ``x``.
+    """
     kind = _as_kind(kind)
-    return _FORWARD[kind.name](np.asarray(x, dtype=np.float64), kind.params)
+    return _FORWARD[kind.name](np.asarray(x, dtype=np.float64),
+                               kind.params if params is None else params)
 
 
-def array_derivative(kind, x) -> np.ndarray:
+def array_derivative(kind, x, params=None) -> np.ndarray:
     """Vectorized analytic derivative with canonical sub-gradients at kinks."""
     kind = _as_kind(kind)
-    return _DERIVATIVE[kind.name](np.asarray(x, dtype=np.float64), kind.params)
+    return _DERIVATIVE[kind.name](np.asarray(x, dtype=np.float64),
+                                  kind.params if params is None else params)
+
+
+def param_derivative(kind, x, params) -> np.ndarray:
+    """Elementwise partial of the output w.r.t. the kind's one parameter."""
+    kind = _as_kind(kind)
+    if kind.name not in _PARAM_DERIVATIVE:
+        raise ConfigError(f"{kind.name} has no trainable parameter")
+    return _PARAM_DERIVATIVE[kind.name](np.asarray(x, dtype=np.float64), params)
+
+
+def _finite_input(x: float) -> float:
+    if not math.isfinite(x):
+        raise DomainError(f"activation input must be finite, got {x}")
+    return x
 
 
 def evaluate(kind, x: float) -> float:
     """Forward value at a scalar point."""
-    kind = _as_kind(kind)
-    if not math.isfinite(x):
-        raise DomainError(f"activation input must be finite, got {x}")
-    return float(array_value(kind, x))
+    return float(array_value(kind, _finite_input(x)))
 
 
 def derivative(kind, x: float) -> float:
     """Analytic derivative at a scalar point (canonical value at kinks)."""
-    kind = _as_kind(kind)
-    if not math.isfinite(x):
-        raise DomainError(f"activation input must be finite, got {x}")
-    return float(array_derivative(kind, x))
+    return float(array_derivative(kind, _finite_input(x)))
 
 
 def kink_points(kind) -> tuple[float, ...]:
     """Points where the derivative jumps (empty for smooth kinds)."""
-    return _KINKS.get(_as_kind(kind).name, ())
+    return (0.0,) if _as_kind(kind).name in _KINK_SLOPES else ()
 
 
 def subdifferential(kind, x: float) -> Subdifferential:
@@ -273,17 +307,9 @@ def subdifferential(kind, x: float) -> Subdifferential:
     relu at 0 gives [0, 1] and leakysinelu at 0 gives [0.5, 1].
     """
     kind = _as_kind(kind)
-    if not math.isfinite(x):
-        raise DomainError(f"activation input must be finite, got {x}")
-    if x in kink_points(kind):
-        if kind.name == "relu":
-            return Subdifferential(0.0, 1.0)
-        if kind.name == "prelu":
-            alpha = kind.params["alpha"]
-            return Subdifferential(min(alpha, 1.0), max(alpha, 1.0))
-        if kind.name == "leakysinelu":
-            # One-sided limits of eq. (sin(2x)+1) and its halved branch at 0.
-            return Subdifferential(0.5, 1.0)
+    if _finite_input(x) in kink_points(kind):
+        slopes = _KINK_SLOPES[kind.name](kind.params)
+        return Subdifferential(min(slopes), max(slopes))
     d = derivative(kind, x)
     return Subdifferential(d, d)
 
@@ -303,32 +329,3 @@ def catalog(kind) -> PropertyRecord:
         deviation=deviation,
     )
 
-
-# Parametric forms used by the autodiff engine, where the parameter is a
-# trainable array broadcast against x (per neuron or per channel).
-
-
-def prelu_value(x, alpha):
-    return np.where(x >= 0, x, alpha * x)
-
-
-def prelu_grad_x(x, alpha):
-    return np.where(x >= 0, 1.0, alpha)
-
-
-def prelu_grad_alpha(x):
-    """Partial of the output w.r.t. alpha, elementwise in x."""
-    return np.where(x < 0, x, 0.0)
-
-
-def snake_value(x, a):
-    return x + np.square(np.sin(a * x)) / a
-
-
-def snake_grad_x(x, a):
-    return 1.0 + np.sin(2.0 * a * x)
-
-
-def snake_grad_a(x, a):
-    s2 = np.sin(2.0 * a * x)
-    return x * s2 / a - np.square(np.sin(a * x)) / np.square(a)

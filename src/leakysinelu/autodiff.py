@@ -268,32 +268,22 @@ def activate(
 ) -> Tensor:
     """Apply an activation elementwise.
 
-    ``param`` carries the trainable parameter tensor for prelu (alpha, one
-    per channel along axis 1) or snake (a); when omitted the fixed scalar
-    from ``kind.params`` is used.
+    ``param`` carries a trainable tensor for the kind's one parameter (a
+    scalar, or one value per channel along axis 1); when omitted the fixed
+    values in ``kind.params`` are used.
     """
     xd = x.data
-    if param is not None and kind.name == "prelu":
-        alpha = _param_view(param, xd.ndim)
-        out_data = zoo.prelu_value(xd, alpha)
+    params = kind.params
+    if param is not None:
+        (name,) = kind.params
+        params = {name: _param_view(param, xd.ndim)}
+    out_data = zoo.array_value(kind, xd, params)
 
-        def bwd(g):
-            _accumulate(x, zoo.prelu_grad_x(xd, alpha) * g, "prelu")
-            _accumulate(param, _reduce_like(zoo.prelu_grad_alpha(xd) * g, param), "prelu")
-
-    elif param is not None and kind.name == "snake":
-        a = _param_view(param, xd.ndim)
-        out_data = zoo.snake_value(xd, a)
-
-        def bwd(g):
-            _accumulate(x, zoo.snake_grad_x(xd, a) * g, "snake")
-            _accumulate(param, _reduce_like(zoo.snake_grad_a(xd, a) * g, param), "snake")
-
-    else:
-        out_data = zoo.array_value(kind, xd)
-
-        def bwd(g):
-            _accumulate(x, zoo.array_derivative(kind, xd) * g, kind.name)
+    def bwd(g):
+        _accumulate(x, zoo.array_derivative(kind, xd, params) * g, kind.name)
+        if param is not None:
+            contrib = zoo.param_derivative(kind, xd, params) * g
+            _accumulate(param, _reduce_like(contrib, param), kind.name)
 
     return _emit(tape, kind.name, out_data, bwd)
 

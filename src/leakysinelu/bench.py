@@ -15,7 +15,8 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -79,6 +80,11 @@ class TrainConfig:
     znorm: str = "per_series"
     norm_enabled: bool = True
 
+    def __post_init__(self):
+        for name, least in (("epochs", 0), ("batch_size", 1), ("seed", 0)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
+
     @staticmethod
     def for_architecture(architecture: str, activation, **overrides) -> "TrainConfig":
         """Recipe defaults for one architecture, with explicit overrides."""
@@ -93,31 +99,15 @@ class TrainConfig:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "architecture": self.architecture,
-            "activation": zoo.kind_to_dict(self.activation),
-            "optimizer": self.optimizer,
-            "learning_rate": self.learning_rate,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "seed": self.seed,
-            "znorm": self.znorm,
-            "norm_enabled": self.norm_enabled,
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc["activation"] = zoo.kind_to_dict(self.activation)
+        return doc
 
     @staticmethod
     def from_dict(doc: dict) -> "TrainConfig":
-        return TrainConfig(
-            architecture=doc["architecture"],
-            activation=zoo.kind_from_dict(doc["activation"]),
-            optimizer=doc["optimizer"],
-            learning_rate=doc["learning_rate"],
-            epochs=doc["epochs"],
-            batch_size=doc["batch_size"],
-            seed=doc["seed"],
-            znorm=doc["znorm"],
-            norm_enabled=doc["norm_enabled"],
-        )
+        values = {f.name: doc[f.name] for f in fields(TrainConfig)}
+        values["activation"] = zoo.kind_from_dict(doc["activation"])
+        return TrainConfig(**values)
 
     def make_optimizer(self):
         if self.optimizer == "adadelta":
@@ -145,34 +135,12 @@ class RunResult:
     diverged_epoch: int | None = None
 
     def to_record(self) -> dict:
-        return {
-            "schema": SCHEMA_VERSION,
-            "dataset": self.dataset,
-            "config": self.config,
-            "config_hash": self.config_hash,
-            "status": self.status,
-            "accuracy": self.accuracy,
-            "final_train_loss": self.final_train_loss,
-            "seconds": self.seconds,
-            "checkpoint": self.checkpoint,
-            "error": self.error,
-            "diverged_epoch": self.diverged_epoch,
-        }
+        return {"schema": SCHEMA_VERSION, **{f.name: getattr(self, f.name) for f in fields(self)}}
 
     @staticmethod
     def from_record(doc: dict) -> "RunResult":
-        return RunResult(
-            dataset=doc["dataset"],
-            config=doc["config"],
-            config_hash=doc["config_hash"],
-            status=doc["status"],
-            accuracy=doc["accuracy"],
-            final_train_loss=doc["final_train_loss"],
-            seconds=doc["seconds"],
-            checkpoint=doc["checkpoint"],
-            error=doc.get("error"),
-            diverged_epoch=doc.get("diverged_epoch"),
-        )
+        """Inverse of ``to_record``; a field missing from ``doc`` takes its default."""
+        return RunResult(**{f.name: doc[f.name] for f in fields(RunResult) if f.name in doc})
 
 
 def cell_hash(dataset_name: str, config: TrainConfig) -> str:
@@ -197,6 +165,13 @@ def build_spec(config: TrainConfig, dataset: Dataset) -> ModelSpec:
     return build_fcn(
         dataset.length, dataset.n_classes, config.activation, config.norm_enabled
     )
+
+
+def _loss(spec: ModelSpec, logits, labels, tape: Tape | None = None):
+    """The head's loss: binary cross-entropy on one sigmoid logit, else
+    softmax cross-entropy."""
+    loss_fn = sigmoid_bce if spec.head == "sigmoid" else softmax_xent
+    return loss_fn(logits, labels, tape)
 
 
 def _batches(n: int, batch_size: int, perm: np.ndarray):
@@ -233,10 +208,7 @@ def train(
                     spec, state, x, tape=tape, training=True, rng=rng,
                     param_tensors=tensors,
                 )
-                if spec.head == "sigmoid":
-                    loss = sigmoid_bce(logits, y, tape)
-                else:
-                    loss = softmax_xent(logits, y, tape)
+                loss = _loss(spec, logits, y, tape)
                 tape.backward(loss)
             except NumericError as exc:
                 raise DivergenceError(epoch, str(exc)) from exc
@@ -261,13 +233,6 @@ def evaluate(state: ModelState, spec: ModelSpec, dataset: Dataset, batch_size: i
     return correct / len(dataset)
 
 
-def _train_loss_eval_mode(spec: ModelSpec, state: ModelState, dataset: Dataset) -> float:
-    logits = forward(spec, state, dataset.series, training=False)
-    if spec.head == "sigmoid":
-        return float(sigmoid_bce(logits, dataset.labels).data)
-    return float(softmax_xent(logits, dataset.labels).data)
-
-
 def run_cell(payload: dict) -> dict:
     """Execute one cell described by a plain-dict payload (process-safe)."""
     config = TrainConfig.from_dict(payload["config"])
@@ -285,9 +250,11 @@ def run_cell(payload: dict) -> dict:
         spec = build_spec(config, train_ds)
         state, history, opt_state = train(spec, train_ds, config)
         result.accuracy = evaluate(state, spec, test_ds)
-        result.final_train_loss = (
-            history[-1] if history else _train_loss_eval_mode(spec, state, train_ds)
-        )
+        if history:
+            result.final_train_loss = history[-1]
+        else:  # no epoch ran: the eval-mode loss of the initialization
+            logits = forward(spec, state, train_ds.series, training=False)
+            result.final_train_loss = float(_loss(spec, logits, train_ds.labels).data)
         if payload.get("checkpoint_dir"):
             ckpt_dir = Path(payload["checkpoint_dir"])
             ckpt_dir.mkdir(parents=True, exist_ok=True)
@@ -375,7 +342,9 @@ def run_sweep(
 
     Cells run independently (optionally in ``jobs`` worker processes); each
     failure is recorded without aborting the sweep, and the returned records
-    cover every requested cell in (dataset, activation) order.
+    cover every requested cell in (dataset, activation) order. A worker
+    that dies breaks the pool: every cell whose record had not arrived is
+    recorded as failed, so the next sweep runs it again.
     """
     dataset_names = list(dataset_names)
     activation_names = list(activation_names)
@@ -394,17 +363,26 @@ def run_sweep(
     pending = [c for c in cells if c["config_hash"] not in settled]
     outcome = SweepOutcome(records=[], n_cached=len(cells) - len(pending))
     fresh: dict[str, dict] = {}
-    if pending:
-        if jobs > 1:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-                for record in pool.map(run_cell, pending):
-                    store.append(record)
-                    fresh[record["config_hash"]] = record
-        else:
-            for payload in pending:
-                record = run_cell(payload)
-                store.append(record)
-                fresh[record["config_hash"]] = record
+
+    def keep(record: dict) -> None:
+        store.append(record)
+        fresh[record["config_hash"]] = record
+
+    if pending and jobs > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+            futures = [pool.submit(run_cell, payload) for payload in pending]
+            for payload, future in zip(pending, futures):
+                try:
+                    keep(future.result())
+                except BrokenProcessPool as exc:
+                    keep(RunResult(
+                        dataset=payload["dataset"], config=payload["config"],
+                        config_hash=payload["config_hash"], status="failed",
+                        error=f"BrokenProcessPool: {exc}",
+                    ).to_record())
+    else:
+        for payload in pending:
+            keep(run_cell(payload))
     outcome.n_trained = sum(1 for r in fresh.values() if r["status"] == "completed")
     outcome.n_failed = sum(1 for r in fresh.values() if r["status"] != "completed")
     by_hash: dict[str, dict] = {}

@@ -62,14 +62,19 @@ def _load_config_file(path: str | None) -> dict:
     if not path:
         return {}
     try:
-        return json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot read config file {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise DataError(f"config file {path} must hold a JSON object")
+    if not isinstance(doc.get("data_root", ""), str):
+        raise DataError(f"config file {path}: data_root must be a string")
+    return doc
 
 
 def _resolve_root(args) -> str:
-    cfg = _load_config_file(getattr(args, "config_file", None))
-    root = resolve_data_root(getattr(args, "data_root", None), cfg.get("data_root"))
+    cfg = _load_config_file(args.config_file)
+    root = resolve_data_root(args.data_root, cfg.get("data_root"))
     if not root:
         raise DataError(
             "no dataset root: pass --data-root, set UCR_DATA_ROOT, or use a config file"
@@ -105,18 +110,14 @@ def _parse_datasets(value: str) -> list[str]:
 
 
 def _overrides(args) -> dict:
-    out = {}
-    if getattr(args, "epochs", None) is not None:
-        out["epochs"] = args.epochs
-    if getattr(args, "seed", None) is not None:
-        out["seed"] = args.seed
-    if getattr(args, "batch_size", None) is not None:
-        out["batch_size"] = args.batch_size
-    if getattr(args, "no_norm_layers", False):
-        out["norm_enabled"] = False
-    if getattr(args, "no_znorm", False):
-        out["znorm"] = "none"
-    return out
+    """Recipe overrides from the flags train and bench share; None keeps the default."""
+    return {
+        "epochs": args.epochs,
+        "seed": args.seed,
+        "batch_size": args.batch_size,
+        "norm_enabled": False if args.no_norm_layers else None,
+        "znorm": "none" if args.no_znorm else None,
+    }
 
 
 def cmd_analyze(args) -> int:
@@ -182,6 +183,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     root = _resolve_root(args)
     activations = _parse_activations(args.activations)
     datasets = _parse_datasets(args.datasets)
@@ -297,35 +300,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("train", help="train one (architecture, activation, dataset) cell")
-    p.add_argument("--arch", required=True, choices=["mlp", "fcn"])
+    # Flags shared by train and bench: the recipe overrides and where to read/write.
+    cell = argparse.ArgumentParser(add_help=False)
+    cell.add_argument("--arch", required=True, choices=["mlp", "fcn"])
+    cell.add_argument("--data-root", dest="data_root")
+    cell.add_argument("--config", dest="config_file")
+    cell.add_argument("--epochs", type=int)
+    cell.add_argument("--seed", type=int)
+    cell.add_argument("--batch-size", dest="batch_size", type=int)
+    cell.add_argument("--no-norm-layers", dest="no_norm_layers", action="store_true")
+    cell.add_argument("--no-znorm", dest="no_znorm", action="store_true")
+    cell.add_argument("--out", default="out")
+
+    p = sub.add_parser("train", parents=[cell],
+                       help="train one (architecture, activation, dataset) cell")
     p.add_argument("--activation", required=True, choices=list(zoo.ACTIVATION_NAMES))
     p.add_argument("--dataset", required=True)
-    p.add_argument("--data-root", dest="data_root")
-    p.add_argument("--config", dest="config_file")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--no-norm-layers", dest="no_norm_layers", action="store_true")
-    p.add_argument("--no-znorm", dest="no_znorm", action="store_true")
-    p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("bench", help="run a sweep over datasets x activations")
-    p.add_argument("--arch", required=True, choices=["mlp", "fcn"])
+    p = sub.add_parser("bench", parents=[cell], help="run a sweep over datasets x activations")
     p.add_argument("--activations", required=True,
                    help="comma-separated names or 'all'")
     p.add_argument("--datasets", required=True,
                    help="comma-separated names or @file with one name per line")
-    p.add_argument("--data-root", dest="data_root")
-    p.add_argument("--config", dest="config_file")
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--no-norm-layers", dest="no_norm_layers", action="store_true")
-    p.add_argument("--no-znorm", dest="no_znorm", action="store_true")
-    p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("compare", help="statistical comparison from a results file")

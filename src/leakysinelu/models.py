@@ -9,7 +9,7 @@ Binary problems use a single sigmoid logit, multi-class a softmax head.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any
 
 import numpy as np
@@ -48,31 +48,18 @@ class ModelSpec:
     layers: tuple[dict[str, Any], ...]
 
     def to_json(self) -> str:
-        doc = {
-            "architecture": self.architecture,
-            "activation": zoo.kind_to_dict(self.activation),
-            "input_length": self.input_length,
-            "n_classes": self.n_classes,
-            "norm_enabled": self.norm_enabled,
-            "head": self.head,
-            "head_units": self.head_units,
-            "layers": list(self.layers),
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc["activation"] = zoo.kind_to_dict(self.activation)
+        doc["layers"] = list(self.layers)
         return json.dumps(doc, sort_keys=True)
 
     @staticmethod
     def from_json(text: str) -> "ModelSpec":
         doc = json.loads(text)
-        return ModelSpec(
-            architecture=doc["architecture"],
-            activation=zoo.kind_from_dict(doc["activation"]),
-            input_length=int(doc["input_length"]),
-            n_classes=int(doc["n_classes"]),
-            norm_enabled=bool(doc["norm_enabled"]),
-            head=doc["head"],
-            head_units=int(doc["head_units"]),
-            layers=tuple(doc["layers"]),
-        )
+        values = {f.name: doc[f.name] for f in fields(ModelSpec)}
+        values["activation"] = zoo.kind_from_dict(doc["activation"])
+        values["layers"] = tuple(doc["layers"])
+        return ModelSpec(**values)
 
 
 @dataclass
@@ -149,15 +136,6 @@ def build_fcn(
     )
 
 
-def _activation_param(kind: zoo.ActivationKind) -> tuple[str, float] | None:
-    # Which activation parameter becomes a per-channel trainable tensor.
-    if kind.name == "prelu" and "alpha" in kind.learnable:
-        return "alpha", kind.params["alpha"]
-    if kind.name == "snake" and "a" in kind.learnable:
-        return "a", kind.params["a"]
-    return None
-
-
 def init_params(spec: ModelSpec, seed: int) -> ModelState:
     """Deterministic initialization: uniform weights with variance 2/fan_in,
     zero biases, unit BN scales, activation parameters at their defaults."""
@@ -165,7 +143,6 @@ def init_params(spec: ModelSpec, seed: int) -> ModelState:
     params: dict[str, np.ndarray] = {}
     buffers: dict[str, np.ndarray] = {}
     width = spec.input_length if spec.architecture == "mlp" else 1
-    act_param = _activation_param(spec.activation)
     for i, layer in enumerate(spec.layers):
         kind = layer["type"]
         if kind == "dense":
@@ -187,9 +164,9 @@ def init_params(spec: ModelSpec, seed: int) -> ModelState:
             params[f"l{i}.beta"] = np.zeros(width)
             buffers[f"l{i}.running_mean"] = np.zeros(width)
             buffers[f"l{i}.running_var"] = np.ones(width)
-        elif kind == "activation" and act_param is not None:
-            name, value = act_param
-            params[f"l{i}.{name}"] = np.full(width, value)
+        elif kind == "activation":
+            for name in spec.activation.learnable:
+                params[f"l{i}.{name}"] = np.full(width, spec.activation.params[name])
     return ModelState(params=params, buffers=buffers, seed=seed)
 
 
@@ -253,9 +230,8 @@ def forward(
             cur = ad.global_avg_pool(cur, tape)
         elif kind == "activation":
             param = None
-            for pname in ("alpha", "a"):
-                if f"l{i}.{pname}" in pt:
-                    param = pt[f"l{i}.{pname}"]
+            for name in spec.activation.learnable:
+                param = pt[f"l{i}.{name}"]
             cur = ad.activate(cur, spec.activation, tape, param=param)
         else:
             raise ConfigError(f"unknown layer type {kind!r}")

@@ -9,7 +9,7 @@ report a violation always carry a concrete witness point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -81,13 +81,17 @@ def check_semi_periodicity(kind, period: float, region: tuple[float, float], n: 
 
 
 def semi_periodic_regions(kind) -> tuple[tuple[float, float], ...]:
-    """Sign regions on which the derivative's periodicity is asserted."""
+    """Regions on which the derivative's periodicity is asserted.
+
+    A kink breaks the periodicity across it, so [-20, 20] is split at the
+    kinks, top piece first; every lower piece ends one period short, so
+    that x + T stays below the next kink.
+    """
     kind = zoo._as_kind(kind)
-    if kind.name == "leakysinelu":
-        # The halved negative branch breaks periodicity across 0, so each
-        # branch is checked separately.
-        return ((0.0, 20.0), (-20.0, -math.pi))
-    return ((-20.0, 20.0),)
+    period = zoo.catalog(kind).semi_periodic_period
+    edges = (-20.0, *zoo.kink_points(kind), 20.0)
+    pieces = list(zip(edges, edges[1:]))
+    return (pieces[-1], *((lo, hi - period) for lo, hi in reversed(pieces[:-1])))
 
 
 def check_monotone(kind, lo: float = -20.0, hi: float = 20.0, n: int = 10_000):
@@ -296,24 +300,10 @@ def property_report(kind) -> PropertyReport:
 def report_to_dict(report: PropertyReport) -> dict:
     """JSON-ready view of a report."""
 
-    def tail(est: TailEstimate):
-        return {"verdict": est.verdict, "value": _json_float(est.value)}
-
-    return {
-        "activation": report.kind.name,
-        "params": dict(report.kind.params),
-        "limit_neg": tail(report.limit_neg),
-        "limit_pos": tail(report.limit_pos),
-        "monotone": report.monotone,
-        "monotone_witness": report.monotone_witness,
-        "semi_periodic_period": report.semi_periodic_period,
-        "semi_periodic_max_dev": report.semi_periodic_max_dev,
-        "empirical_min": report.empirical_min,
-        "empirical_max": report.empirical_max,
-        "matches_catalog": report.matches_catalog,
-        "mismatches": report.mismatches,
-        "table_note": report.table_note,
-    }
+    doc = {f.name: getattr(report, f.name) for f in fields(report) if f.name != "kind"}
+    for key in ("limit_neg", "limit_pos"):
+        doc[key] = {"verdict": doc[key].verdict, "value": _json_float(doc[key].value)}
+    return {"activation": report.kind.name, "params": dict(report.kind.params), **doc}
 
 
 def _json_float(value):

@@ -177,3 +177,36 @@ class TestConfig:
     def test_prelu_learnable_by_default(self):
         kind = zoo.activation("prelu")
         assert kind.params == {"alpha": 0.25} and kind.learnable == {"alpha"}
+
+
+class TestTrainableParameters:
+    def test_learnable_flag_needs_a_parameter_derivative(self):
+        # elu has an alpha, but no trainable path: the flag would hash a
+        # distinct cell that never trains it.
+        with pytest.raises(ConfigError, match="no trainable parameter"):
+            zoo.activation("elu", learnable={"alpha"})
+
+    def test_params_override_broadcasts_against_x(self):
+        x = np.linspace(-3.0, 3.0, 7)
+        a = np.array([[0.5], [2.0]])
+        kind = zoo.activation("snake", learnable={"a"})
+        for fn in (zoo.array_value, zoo.array_derivative):
+            rows = fn(kind, x, {"a": a})
+            assert rows.shape == (2, 7)
+            for row, value in zip(rows, a[:, 0]):
+                assert np.array_equal(row, fn(zoo.activation("snake", a=value), x))
+
+    @pytest.mark.parametrize("name, key, value", [("prelu", "alpha", 0.3), ("snake", "a", 1.7)])
+    def test_param_derivative_matches_finite_differences(self, name, key, value):
+        kind = zoo.activation(name, learnable={key})
+        x = np.linspace(-4.0, 4.0, 41)
+        x = x[np.abs(x) > 1e-3]
+        h = 1e-6
+        fd = (zoo.array_value(kind, x, {key: value + h})
+              - zoo.array_value(kind, x, {key: value - h})) / (2 * h)
+        ana = zoo.param_derivative(kind, x, {key: value})
+        assert np.max(np.abs(ana - fd) / np.maximum(1.0, np.abs(ana))) < 1e-6
+
+    def test_param_derivative_rejects_fixed_kinds(self):
+        with pytest.raises(ConfigError):
+            zoo.param_derivative(zoo.activation("elu"), np.zeros(3), {"alpha": 1.0})

@@ -322,3 +322,27 @@ class TestBackward:
     def test_nonfinite_forward_raises(self):
         with pytest.raises(NumericError):
             ad.affine(ad.Tensor([[1e308]]), ad.Tensor([[1e308]]), ad.Tensor([0.0]))
+
+
+class TestActivatePath:
+    @pytest.mark.parametrize("name, key", [("prelu", "alpha"), ("snake", "a")])
+    def test_trainable_parameter_goes_through_the_catalog(self, monkeypatch, name, key):
+        calls = []
+        for fn_name in ("array_value", "array_derivative", "param_derivative"):
+            real = getattr(zoo, fn_name)
+
+            def spy(*args, _real=real, _name=fn_name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(zoo, fn_name, spy)
+        rng = np.random.default_rng(14)
+        x = ad.Tensor(rng.normal(size=(4, 3)))
+        param = ad.Tensor(np.full(3, 0.5))
+        kind = zoo.activation(name, learnable={key})
+        tape = ad.Tape()
+        out = ad.activate(x, kind, tape, param=param)
+        tape.backward(ad.mse(out, np.zeros((4, 3)), tape))
+        assert calls == ["array_value", "array_derivative", "param_derivative"]
+        assert param.grad is not None and param.grad.shape == (3,)
+        assert np.array_equal(out.data, zoo.array_value(kind, x.data, {key: np.full((1, 3), 0.5)}))

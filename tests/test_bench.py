@@ -1,7 +1,10 @@
+import os
+
 import numpy as np
 import pytest
 
 from leakysinelu import activations as zoo
+from leakysinelu import bench
 from leakysinelu.bench import (
     DivergenceError,
     ResultsStore,
@@ -222,3 +225,38 @@ class TestResultsStore:
             fh.write('{"config_hash": \n')
         with pytest.raises(DataError, match="results.jsonl:2:"):
             store.load()
+
+
+def _exit_on_sine(payload):
+    """A cell runner whose worker process dies on the sine cells."""
+    if payload["config"]["activation"]["name"] == "sine":
+        os._exit(1)
+    return run_cell(payload)
+
+
+class TestBrokenPool:
+    def test_dead_worker_fails_pending_cells_and_rerun_completes(self, tmp_path, monkeypatch):
+        root = make_ucr_root(tmp_path / "ucr", ["S1", "S2"], n_train=8, n_test=8, length=12)
+        store = ResultsStore(tmp_path / "results.jsonl")
+        args = (["S1", "S2"], ["relu", "sine"], "mlp", root, store)
+        monkeypatch.setattr(bench, "run_cell", _exit_on_sine)
+        out = run_sweep(*args, overrides={"epochs": 2}, jobs=2)
+        assert len(out.records) == 4 and len(store.load()) == 4
+        assert out.n_trained + out.n_failed == 4
+        for record in out.records:
+            if record["config"]["activation"]["name"] == "sine":
+                assert record["status"] == "failed"
+            if record["status"] == "failed":
+                assert record["error"].startswith("BrokenProcessPool")
+        monkeypatch.undo()
+        again = run_sweep(*args, overrides={"epochs": 2}, jobs=2)
+        assert again.n_cached == out.n_trained
+        assert again.n_trained == out.n_failed
+        assert [r["status"] for r in again.records] == ["completed"] * 4
+
+
+class TestRecordFields:
+    def test_config_dict_has_every_field(self):
+        # A field missing from to_dict would silently drop out of cell_hash.
+        cfg = TrainConfig.for_architecture("fcn", "snake", epochs=3)
+        assert set(cfg.to_dict()) == set(TrainConfig.__dataclass_fields__)

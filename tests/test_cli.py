@@ -326,3 +326,67 @@ class TestManifest:
         assert manifest["command"] == "analyze"
         assert manifest["kernel_backend"] in ("numba", "numpy")
         assert manifest["version"]
+
+
+class TestBoundaryValidation:
+    def _argv(self, tmp_path, command):
+        root = make_ucr_root(tmp_path / "ucr", ["S1"], n_train=8, n_test=8, length=12)
+        common = ["--arch", "mlp", "--data-root", str(root), "--epochs", "1",
+                  "--out", str(tmp_path / "out")]
+        if command == "train":
+            return ["train", "--activation", "relu", "--dataset", "S1", *common]
+        return ["bench", "--activations", "relu", "--datasets", "S1", *common]
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("train", "--seed", "-1"),
+        ("train", "--batch-size", "0"),
+        ("train", "--epochs", "-3"),
+        ("bench", "--seed", "-1"),
+        ("bench", "--batch-size", "0"),
+        ("bench", "--jobs", "0"),
+    ])
+    def test_bad_integer_setting_exits_2_writing_nothing(
+        self, tmp_path, capsys, command, flag, value
+    ):
+        code = run(self._argv(tmp_path, command) + [flag, value])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"must be >= {1 if value == '0' else 0}, got {value}" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["train", "bench"])
+    @pytest.mark.parametrize("content", ["[1, 2]", '"root"', '{"data_root": 5}'])
+    def test_malformed_config_file_exits_3(self, tmp_path, capsys, command, content):
+        path = tmp_path / "config.json"
+        path.write_text(content)
+        code = run(self._argv(tmp_path, command) + ["--config", str(path)])
+        assert code == 3
+        assert str(path) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_config_file_data_root_is_used(self, tmp_path, monkeypatch):
+        root = make_ucr_root(tmp_path / "ucr", ["S1"], n_train=8, n_test=8, length=12)
+        monkeypatch.delenv("UCR_DATA_ROOT", raising=False)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"data_root": str(root)}))
+        code = run(["train", "--arch", "mlp", "--activation", "relu", "--dataset", "S1",
+                    "--epochs", "1", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 0
+
+
+class TestSharedFlags:
+    @pytest.mark.parametrize("command, own", [
+        ("train", ["--activation", "relu", "--dataset", "S1"]),
+        ("bench", ["--activations", "relu", "--datasets", "S1", "--jobs", "2"]),
+    ])
+    def test_train_and_bench_take_every_cell_flag(self, command, own):
+        from leakysinelu.cli import build_parser
+
+        args = build_parser().parse_args([
+            command, *own, "--arch", "fcn", "--data-root", "r", "--config", "c",
+            "--epochs", "3", "--seed", "4", "--batch-size", "5", "--no-norm-layers",
+            "--no-znorm", "--out", "o",
+        ])
+        assert (args.arch, args.data_root, args.config_file, args.epochs, args.seed,
+                args.batch_size, args.no_norm_layers, args.no_znorm, args.out) == (
+                    "fcn", "r", "c", 3, 4, 5, True, True, "o")
