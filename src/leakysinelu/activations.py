@@ -127,15 +127,21 @@ _FORWARD: dict[str, Callable] = {
 }
 
 
+# The two LeakySineLU formulas work in one output buffer (out= keeps a 0-d
+# input a 0-d array) and halve only the negative branch (where=).
 def _leakysinelu(x):
-    s = np.square(np.sin(x)) + x
-    return np.where(x > 0, s, 0.5 * s)
+    s = np.sin(x, out=np.empty_like(x))
+    np.square(s, out=s)
+    s += x
+    return np.multiply(s, 0.5, out=s, where=~(x > 0))
 
 
 def _leakysinelu_deriv(x):
-    s = np.sin(2.0 * x) + 1.0
+    s = np.multiply(x, 2.0, out=np.empty_like(x))
+    np.sin(s, out=s)
+    s += 1.0
     # Canonical sub-gradient at 0 is the positive-branch value 1.
-    return np.where(x >= 0, s, 0.5 * s)
+    return np.multiply(s, 0.5, out=s, where=~(x >= 0))
 
 
 def _silu_deriv(x):

@@ -141,13 +141,17 @@ def conv1d_same(x: Tensor, w: Tensor, b: Tensor, tape: Tape | None = None) -> Te
     pad_left = (k_width - 1) // 2
     pad_right = k_width - 1 - pad_left
     xp = np.pad(x.data, ((0, 0), (0, 0), (pad_left, pad_right)))
-    out_data = kernels.conv1d_forward(xp, w.data) + b.data[None, :, None]
+    out, cols = kernels.conv1d_forward(xp, w.data)
+    if tape is None:
+        cols = None  # only the backward pass reads it; free it before the copy below
+    out_data = np.add(out, b.data[None, :, None], out=np.empty(out.shape))
+    lp = xp.shape[2]
 
     def bwd(g):
         g = np.ascontiguousarray(g)
-        dxp = kernels.conv1d_grad_input(g, w.data, xp.shape[2])
+        dxp = kernels.conv1d_grad_input(g, w.data, lp)
         _accumulate(x, dxp[:, :, pad_left : pad_left + length], "conv1d_same")
-        _accumulate(w, kernels.conv1d_grad_kernel(g, xp, k_width), "conv1d_same")
+        _accumulate(w, kernels.conv1d_grad_kernel(g, cols, k_width), "conv1d_same")
         _accumulate(b, g.sum(axis=(0, 2)), "conv1d_same")
 
     return _emit(tape, "conv1d_same", out_data, bwd)
@@ -190,31 +194,44 @@ def batch_norm1d(
     n = b_sz * length
     if training and n <= 1:
         raise ShapeError("batch_norm1d training mode needs B*L > 1")
+    # The reductions are the same .sum(axis=(0, 2)) passes x.mean and x.var
+    # make, so results match them bit for bit; elementwise steps write into
+    # xhat, out_data or one scratch buffer instead of fresh temporaries.
     if training:
         mean = x.data.mean(axis=(0, 2))
-        var = x.data.var(axis=(0, 2))
+    else:
+        mean = running_mean
+    xhat = np.subtract(x.data, mean[None, :, None])
+    out_data = np.empty_like(xhat)
+    if training:
+        var = np.multiply(xhat, xhat, out=out_data).sum(axis=(0, 2)) / n
         if update_running:
             running_mean *= 1.0 - momentum
             running_mean += momentum * mean
             running_var *= 1.0 - momentum
             running_var += momentum * var
     else:
-        mean = running_mean
         var = running_var
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mean[None, :, None]) * inv[None, :, None]
-    out_data = gamma.data[None, :, None] * xhat + beta.data[None, :, None]
+    inv = (1.0 / np.sqrt(var + eps))[None, :, None]
+    xhat *= inv
+    np.multiply(xhat, gamma.data[None, :, None], out=out_data)
+    out_data += beta.data[None, :, None]
 
     def bwd(g):
-        _accumulate(gamma, (g * xhat).sum(axis=(0, 2)), "batch_norm1d")
+        scratch = np.multiply(g, xhat)
+        _accumulate(gamma, scratch.sum(axis=(0, 2)), "batch_norm1d")
         _accumulate(beta, g.sum(axis=(0, 2)), "batch_norm1d")
-        dxhat = g * gamma.data[None, :, None]
+        dx = np.multiply(g, gamma.data[None, :, None])  # dxhat, then dx in place
         if training:
-            s1 = dxhat.sum(axis=(0, 2))[None, :, None]
-            s2 = (dxhat * xhat).sum(axis=(0, 2))[None, :, None]
-            dx = inv[None, :, None] / n * (n * dxhat - s1 - xhat * s2)
+            s1 = dx.sum(axis=(0, 2))[None, :, None]
+            s2 = np.multiply(dx, xhat, out=scratch).sum(axis=(0, 2))[None, :, None]
+            # inv / n * (n * dxhat - s1 - xhat * s2)
+            dx *= n
+            dx -= s1
+            dx -= np.multiply(xhat, s2, out=scratch)
+            dx *= inv / n
         else:
-            dx = dxhat * inv[None, :, None]
+            dx *= inv
         _accumulate(x, dx, "batch_norm1d")
 
     return _emit(tape, "batch_norm1d", out_data, bwd)
@@ -280,7 +297,9 @@ def activate(
     out_data = zoo.array_value(kind, xd, params)
 
     def bwd(g):
-        _accumulate(x, zoo.array_derivative(kind, xd, params) * g, kind.name)
+        dx = zoo.array_derivative(kind, xd, params)
+        dx *= g
+        _accumulate(x, dx, kind.name)
         if param is not None:
             contrib = zoo.param_derivative(kind, xd, params) * g
             _accumulate(param, _reduce_like(contrib, param), kind.name)

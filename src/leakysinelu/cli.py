@@ -38,6 +38,8 @@ EXIT_INCOMPLETE = 5
 
 # Settings that change where/how work runs but not what it computes.
 _VOLATILE_KEYS = {"out", "jobs", "data_root", "config_file"}
+# The keys a --config file may hold.
+_CONFIG_KEYS = {"data_root"}
 
 
 def _invocation_dir(command: str, out_root: str, resolved: dict) -> Path:
@@ -67,6 +69,10 @@ def _load_config_file(path: str | None) -> dict:
         raise DataError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise DataError(f"config file {path} must hold a JSON object")
+    unknown = sorted(set(doc) - _CONFIG_KEYS)
+    if unknown:
+        raise DataError(f"config file {path}: unknown key(s) {', '.join(map(repr, unknown))}; "
+                        f"it may hold only {', '.join(sorted(_CONFIG_KEYS))}")
     if not isinstance(doc.get("data_root", ""), str):
         raise DataError(f"config file {path}: data_root must be a string")
     return doc
@@ -165,8 +171,8 @@ def cmd_train(args) -> int:
         "data_root": root,
         "out": args.out,
     }
-    outdir = _invocation_dir("train", args.out, resolved)
     load_dataset_pair(root, args.dataset)  # fail fast on missing/malformed data
+    outdir = _invocation_dir("train", args.out, resolved)
     record = run_cell(cell_payload(args.dataset, config, root, checkpoint_dir=outdir))
     ResultsStore(outdir / "results.jsonl").append(record)
     if record["status"] == "diverged":
@@ -304,7 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
     cell = argparse.ArgumentParser(add_help=False)
     cell.add_argument("--arch", required=True, choices=["mlp", "fcn"])
     cell.add_argument("--data-root", dest="data_root")
-    cell.add_argument("--config", dest="config_file")
+    cell.add_argument("--config", dest="config_file",
+                      help='JSON file {"data_root": DIR}; any other key is an error (exit 3)')
     cell.add_argument("--epochs", type=int)
     cell.add_argument("--seed", type=int)
     cell.add_argument("--batch-size", dest="batch_size", type=int)

@@ -5,7 +5,14 @@ Callers look these names up on the module at each call
 
 Convolution kernels operate on the already-padded input ``xp`` of shape
 (B, Cin, Lp) with Lp = L + K - 1, so the output length is exactly L.
-Cross-correlation convention, stride 1.
+Cross-correlation convention, stride 1. Call them with positional arguments.
+
+Window-matrix contract: ``conv1d_forward`` builds the im2col window matrix
+``cols`` once, of shape (B*L, Cin*K), with row ``b*L + t`` holding
+``xp[b, :, t:t+K]`` flattened channel-major (``cols[b*L + t, c*K + j] ==
+xp[b, c, t + j]``), and returns it beside the output. The caller keeps it
+for the backward pass and hands it, unmodified, to ``conv1d_grad_kernel``,
+which never sees ``xp``. No other kernel builds a window matrix.
 """
 
 from __future__ import annotations
@@ -24,39 +31,38 @@ __all__ = [
 BACKEND = "numpy"
 
 
-def _cols(xp: np.ndarray, k_width: int) -> np.ndarray:
-    """im2col: (B, Cin, Lp) -> (B*L, Cin*K) window matrix."""
+def conv1d_forward(xp: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(B, Cin, Lp) x (Cout, Cin, K) -> output (B, Cout, L) and its window matrix.
+
+    The output is a transposed view of the (B*L, Cout) product, so the caller
+    can drop ``cols`` before it copies the output into its final layout.
+    """
     b, cin, lp = xp.shape
+    cout, _, k_width = w.shape
     length = lp - k_width + 1
     win = np.lib.stride_tricks.sliding_window_view(xp, k_width, axis=2)
-    return win.transpose(0, 2, 1, 3).reshape(b * length, cin * k_width)
+    cols = win.transpose(0, 2, 1, 3).reshape(b * length, cin * k_width)
+    out = cols @ w.reshape(cout, cin * k_width).T
+    return out.reshape(b, length, cout).transpose(0, 2, 1), cols
 
 
-def conv1d_forward(xp: np.ndarray, w: np.ndarray) -> np.ndarray:
-    b, _, lp = xp.shape
-    cout, cin, k_width = w.shape
-    length = lp - k_width + 1
-    out = _cols(xp, k_width) @ w.reshape(cout, cin * k_width).T
-    return np.ascontiguousarray(out.reshape(b, length, cout).transpose(0, 2, 1))
-
-
-def conv1d_grad_kernel(g: np.ndarray, xp: np.ndarray, k_width: int) -> np.ndarray:
+def conv1d_grad_kernel(g: np.ndarray, cols: np.ndarray, k_width: int) -> np.ndarray:
+    """d(loss)/dw from the output gradient and the forward window matrix."""
     b, cout, length = g.shape
-    cin = xp.shape[1]
     gm = g.transpose(0, 2, 1).reshape(b * length, cout)
-    dw = gm.T @ _cols(xp, k_width)
-    return dw.reshape(cout, cin, k_width)
+    return (gm.T @ cols).reshape(cout, cols.shape[1] // k_width, k_width)
 
 
 def conv1d_grad_input(g: np.ndarray, w: np.ndarray, lp: int) -> np.ndarray:
+    """d(loss)/dxp, shape (B, Cin, Lp); a view of a channels-last buffer."""
     b, cout, length = g.shape
     cin, k_width = w.shape[1], w.shape[2]
     gm = g.transpose(0, 2, 1).reshape(b * length, cout)
-    t = (gm @ w.reshape(cout, cin * k_width)).reshape(b, length, cin, k_width)
-    dxp = np.zeros((b, cin, lp))
+    t = (gm @ w.transpose(0, 2, 1).reshape(cout, k_width * cin)).reshape(b, length, k_width, cin)
+    dxp = np.zeros((b, lp, cin))
     for j in range(k_width):
-        dxp[:, :, j : j + length] += t[:, :, :, j].transpose(0, 2, 1)
-    return dxp
+        dxp[:, j : j + length] += t[:, :, j]
+    return dxp.transpose(0, 2, 1)
 
 
 def adam_update(p, g, m, v, beta1, beta2, scale, c2, eps):

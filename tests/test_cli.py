@@ -364,6 +364,21 @@ class TestBoundaryValidation:
         assert str(path) in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["train", "bench"])
+    def test_unknown_config_key_exits_3_naming_it(self, tmp_path, capsys, command):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"data_root": str(tmp_path / "ucr"), "seed": 5}))
+        code = run(self._argv(tmp_path, command) + ["--config", str(path)])
+        assert code == 3
+        assert "'seed'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_train_missing_dataset_exits_3_writing_nothing(self, tmp_path):
+        argv = self._argv(tmp_path, "train")
+        argv[argv.index("S1")] = "NOPE"
+        assert run(argv) == 3
+        assert not list((tmp_path / "out").glob("train-*"))
+
     def test_config_file_data_root_is_used(self, tmp_path, monkeypatch):
         root = make_ucr_root(tmp_path / "ucr", ["S1"], n_train=8, n_test=8, length=12)
         monkeypatch.delenv("UCR_DATA_ROOT", raising=False)

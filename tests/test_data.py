@@ -1,5 +1,10 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from leakysinelu.data import (
     Dataset,
@@ -131,3 +136,50 @@ class TestRoundTrip:
         back = load_ucr_split(path, label_map=ds.label_map)
         assert np.array_equal(back.series, ds.series)
         assert np.array_equal(back.labels, ds.labels)
+
+
+# Negative zero, the smallest subnormal, a negative subnormal, the largest
+# finite magnitude and values whose shortest repr needs 17 digits.
+_EDGE_VALUES = [-0.0, 5e-324, -2.2250738585072014e-308, -1.7976931348623157e308,
+                0.1 + 0.2, -1.0000000000000002, 2.718281828459045e-200]
+_values = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                    st.sampled_from(_EDGE_VALUES))
+
+
+def _label_text(value: float) -> str:
+    # The canonical label text the loader writes into label_map.
+    return str(int(value)) if value == int(value) else repr(value)
+
+
+@st.composite
+def _datasets(draw):
+    texts = sorted({_label_text(v) for v in draw(st.lists(
+        st.one_of(st.integers(-1000, 1000).map(float),
+                  st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=False)),
+        min_size=2, max_size=5))}, key=float)
+    if len(texts) < 2:
+        texts = ["0", "1"]
+    extra = draw(st.lists(st.integers(0, len(texts) - 1), max_size=4))
+    labels = draw(st.permutations(list(range(len(texts))) + extra))
+    length = draw(st.integers(1, 6))
+    series = draw(st.lists(st.lists(_values, min_size=length, max_size=length),
+                           min_size=len(labels), max_size=len(labels)))
+    return Dataset("h", np.array(series, dtype=np.float64), np.array(labels, dtype=np.int64),
+                   {text: i for i, text in enumerate(texts)}, "train")
+
+
+class TestRoundTripProperty:
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(_datasets())
+    @example(Dataset("e", np.array([_EDGE_VALUES, _EDGE_VALUES[::-1]]), np.array([1, 0]),
+                     {"-3": 0, "2.5": 1}, "train"))
+    def test_save_then_load_is_bit_identical(self, ds):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "h_TRAIN.tsv"
+            save_ucr_split(ds, path)
+            back = load_ucr_split(path, name="h")
+        assert back.label_map == ds.label_map
+        assert np.array_equal(back.labels, ds.labels)
+        assert back.series.shape == ds.series.shape
+        # Compare the bit patterns, so -0.0 and 0.0 differ.
+        assert np.array_equal(back.series.view(np.int64), ds.series.view(np.int64))

@@ -1,0 +1,204 @@
+"""The fast paths of the FCN step against the plain formulas they replaced.
+
+The conv kernels keep the forward window matrix and scatter the input
+gradient channels-last, batch norm works in place, and LeakySineLU fills one
+output buffer. None of that may change a single bit, so each test below
+compares against a verbatim copy of the earlier, allocation-heavy formula
+with ``np.array_equal`` (and, for the activation, the sign of zero too).
+"""
+
+import numpy as np
+import pytest
+
+from leakysinelu import activations as zoo
+from leakysinelu import autodiff as ad
+from leakysinelu import kernels, models
+
+
+# ---- the earlier formulas, kept verbatim as oracles ----
+
+def ref_cols(xp, k_width):
+    b, cin, lp = xp.shape
+    length = lp - k_width + 1
+    win = np.lib.stride_tricks.sliding_window_view(xp, k_width, axis=2)
+    return win.transpose(0, 2, 1, 3).reshape(b * length, cin * k_width)
+
+
+def ref_conv1d_forward(xp, w):
+    b, _, lp = xp.shape
+    cout, cin, k_width = w.shape
+    length = lp - k_width + 1
+    out = ref_cols(xp, k_width) @ w.reshape(cout, cin * k_width).T
+    return np.ascontiguousarray(out.reshape(b, length, cout).transpose(0, 2, 1))
+
+
+def ref_conv1d_grad_kernel(g, xp, k_width):
+    b, cout, length = g.shape
+    cin = xp.shape[1]
+    gm = g.transpose(0, 2, 1).reshape(b * length, cout)
+    dw = gm.T @ ref_cols(xp, k_width)
+    return dw.reshape(cout, cin, k_width)
+
+
+def ref_conv1d_grad_input(g, w, lp):
+    b, cout, length = g.shape
+    cin, k_width = w.shape[1], w.shape[2]
+    gm = g.transpose(0, 2, 1).reshape(b * length, cout)
+    t = (gm @ w.reshape(cout, cin * k_width)).reshape(b, length, cin, k_width)
+    dxp = np.zeros((b, cin, lp))
+    for j in range(k_width):
+        dxp[:, :, j : j + length] += t[:, :, :, j].transpose(0, 2, 1)
+    return dxp
+
+
+def ref_leakysinelu(x):
+    s = np.square(np.sin(x)) + x
+    return np.where(x > 0, s, 0.5 * s)
+
+
+def ref_leakysinelu_deriv(x):
+    s = np.sin(2.0 * x) + 1.0
+    return np.where(x >= 0, s, 0.5 * s)
+
+
+def ref_batch_norm1d(x, gamma, beta, running_mean, running_var, training, g,
+                     momentum=0.1, eps=1e-5):
+    """(out, dx, dgamma, dbeta); updates the running arrays in training mode."""
+    n = x.shape[0] * x.shape[2]
+    if training:
+        mean = x.mean(axis=(0, 2))
+        var = x.var(axis=(0, 2))
+        running_mean *= 1.0 - momentum
+        running_mean += momentum * mean
+        running_var *= 1.0 - momentum
+        running_var += momentum * var
+    else:
+        mean = running_mean
+        var = running_var
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mean[None, :, None]) * inv[None, :, None]
+    out = gamma[None, :, None] * xhat + beta[None, :, None]
+    dgamma = (g * xhat).sum(axis=(0, 2))
+    dbeta = g.sum(axis=(0, 2))
+    dxhat = g * gamma[None, :, None]
+    if training:
+        s1 = dxhat.sum(axis=(0, 2))[None, :, None]
+        s2 = (dxhat * xhat).sum(axis=(0, 2))[None, :, None]
+        dx = inv[None, :, None] / n * (n * dxhat - s1 - xhat * s2)
+    else:
+        dx = dxhat * inv[None, :, None]
+    return out, dx, dgamma, dbeta
+
+
+def run_backward(tape, g):
+    """Call the last recorded op's backward with a chosen output gradient,
+    which Tape.backward (scalar losses only) cannot take."""
+    tape._records[-1][2](g)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and np.array_equal(a.view(np.int64), b.view(np.int64)))
+
+
+# ---- conv ----
+
+CONV_SHAPES = [  # (B, Cin, Cout, L, K): small odd shapes, then the FCN's own
+    (2, 3, 2, 5, 1), (2, 3, 2, 5, 2), (3, 4, 5, 7, 3), (2, 5, 3, 9, 5), (1, 2, 3, 11, 8),
+    (16, 1, 128, 128, 8), (16, 128, 256, 128, 5), (16, 256, 128, 128, 3), (5, 256, 128, 17, 3),
+]
+
+
+@pytest.mark.parametrize("b_sz, cin, cout, length, k_width", CONV_SHAPES)
+def test_conv_kernels_equal_the_earlier_formulas(b_sz, cin, cout, length, k_width):
+    rng = np.random.default_rng(cin * 100 + k_width)
+    xp = rng.normal(size=(b_sz, cin, length + k_width - 1))
+    w = rng.normal(size=(cout, cin, k_width))
+    g = rng.normal(size=(b_sz, cout, length))
+    out, cols = kernels.conv1d_forward(xp, w)
+    assert np.array_equal(out, ref_conv1d_forward(xp, w))
+    assert np.array_equal(cols, ref_cols(xp, k_width))
+    assert np.array_equal(kernels.conv1d_grad_kernel(g, cols, k_width),
+                          ref_conv1d_grad_kernel(g, xp, k_width))
+    assert np.array_equal(kernels.conv1d_grad_input(g, w, xp.shape[2]),
+                          ref_conv1d_grad_input(g, w, xp.shape[2]))
+
+
+# ---- LeakySineLU ----
+
+_SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, np.pi, -np.pi, np.pi / 2,
+            -np.pi / 2, 1e6, -1e6, 1e300, -1e300]
+
+
+@pytest.mark.parametrize("x", [
+    np.random.default_rng(0).normal(scale=3.0, size=(4, 7, 9)),
+    np.array(_SPECIAL),
+    np.array(_SPECIAL).reshape(2, 7)[:, ::2],  # a strided view
+    np.array(0.0), np.array(-0.0), np.array(-1.25), 0.0, -0.0, 2.5,
+])
+def test_leakysinelu_equals_the_earlier_formulas(x):
+    kind = zoo.activation("leakysinelu")
+    xa = np.asarray(x, dtype=np.float64)
+    for got, want in ((zoo.array_value(kind, x), ref_leakysinelu(xa)),
+                      (zoo.array_derivative(kind, x), ref_leakysinelu_deriv(xa))):
+        assert type(got) is type(want)
+        assert same_bits(got, want)
+
+
+def test_activate_backward_equals_derivative_times_gradient():
+    rng = np.random.default_rng(1)
+    kind = zoo.activation("leakysinelu")
+    x = ad.Tensor(rng.normal(size=(3, 4, 5)))
+    g = rng.normal(size=(3, 4, 5))
+    tape = ad.Tape()
+    out = ad.activate(x, kind, tape)
+    run_backward(tape, g)
+    assert same_bits(out.data, ref_leakysinelu(x.data))
+    assert same_bits(x.grad, ref_leakysinelu_deriv(x.data) * g)
+
+
+# ---- batch norm ----
+
+@pytest.mark.parametrize("shape", [(4, 3, 5), (16, 128, 128), (1, 2, 2)])
+@pytest.mark.parametrize("training", [True, False])
+def test_batch_norm_equals_the_earlier_formulas(shape, training):
+    rng = np.random.default_rng(shape[1])
+    x = rng.normal(loc=0.3, scale=2.0, size=shape)
+    gamma, beta = rng.normal(size=shape[1]), rng.normal(size=shape[1])
+    g = rng.normal(size=shape)
+    run_mean, run_var = rng.normal(size=shape[1]), rng.random(shape[1]) + 0.5
+    want_mean, want_var = run_mean.copy(), run_var.copy()
+    want = ref_batch_norm1d(x, gamma, beta, want_mean, want_var, training, g)
+
+    tx, tgamma, tbeta = ad.Tensor(x), ad.Tensor(gamma), ad.Tensor(beta)
+    tape = ad.Tape()
+    out = ad.batch_norm1d(tx, tgamma, tbeta, run_mean, run_var, training, tape)
+    run_backward(tape, g)
+    for got, ref in zip((out.data, tx.grad, tgamma.grad, tbeta.grad), want):
+        assert np.array_equal(got, ref)
+    assert np.array_equal(run_mean, want_mean)
+    assert np.array_equal(run_var, want_var)
+
+
+# ---- one window matrix per conv layer per step ----
+
+def test_fcn_step_builds_each_window_matrix_once(monkeypatch):
+    # Every window matrix is a sliding_window_view of the padded input;
+    # the backward pass reuses the forward's instead of building its own.
+    builds = []
+    original = np.lib.stride_tricks.sliding_window_view
+
+    def spy(*args, **kwargs):
+        builds.append(args[0].shape)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.lib.stride_tricks, "sliding_window_view", spy)
+    spec = models.build_fcn(16, 3, "leakysinelu")
+    state = models.init_params(spec, 0)
+    rng = np.random.default_rng(0)
+    tape = ad.Tape()
+    logits = models.forward(spec, state, rng.normal(size=(4, 16)), tape=tape, training=True)
+    tape.backward(ad.softmax_xent(logits, np.array([0, 1, 2, 0]), tape))
+    assert len(builds) == 3
+    assert [s[1] for s in builds] == [1, 128, 256]

@@ -29,15 +29,15 @@ def direct_conv(xp, w):
 
 
 class TestConv:
-    @pytest.mark.parametrize("k_width", [1, 2, 3])
+    @pytest.mark.parametrize("k_width", [1, 2, 3, 5, 8])
     def test_forward_and_gradients_match_direct_sums(self, k_width):
         rng = np.random.default_rng(k_width)
         b_sz, cin, cout, length = 2, 3, 2, 5
         xp = rng.normal(size=(b_sz, cin, length + k_width - 1))
         w = rng.normal(size=(cout, cin, k_width))
         g = rng.normal(size=(b_sz, cout, length))
-        np.testing.assert_allclose(kernels.conv1d_forward(xp, w), direct_conv(xp, w),
-                                   rtol=1e-12, atol=1e-12)
+        out, cols = kernels.conv1d_forward(xp, w)
+        np.testing.assert_allclose(out, direct_conv(xp, w), rtol=1e-12, atol=1e-12)
         # The output is linear in xp and in w, so <g, conv(xp, w)> has gradient
         # sum_t g[b, o, t] w[o, c, j] at xp[b, c, t + j] and g * xp at w.
         dxp = np.zeros_like(xp)
@@ -49,7 +49,7 @@ class TestConv:
                     dw[o] += g[b, o, t] * xp[b, :, t : t + k_width]
         np.testing.assert_allclose(kernels.conv1d_grad_input(g, w, xp.shape[2]), dxp,
                                    rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(kernels.conv1d_grad_kernel(g, xp, k_width), dw,
+        np.testing.assert_allclose(kernels.conv1d_grad_kernel(g, cols, k_width), dw,
                                    rtol=1e-12, atol=1e-12)
 
 
