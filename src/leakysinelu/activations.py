@@ -6,11 +6,11 @@ All math is evaluated in 64-bit floats. Functions accept scalars or numpy
 arrays and broadcast elementwise; parameter values may be arrays that
 broadcast against the input (a trainable per-channel prelu alpha or snake a).
 
-Every fact about an activation lives in one table of this module, keyed by
-its name: ``_FORWARD``, ``_DERIVATIVE``, ``_PARAM_DERIVATIVE`` (trainable
-kinds only), ``_PARAM_DEFAULTS``, ``_KINK_SLOPES`` and ``_CATALOG``. Adding
-an activation means one entry in each table that applies, and nothing
-outside this file.
+An activation is one record of this module's registry, keyed by its name:
+its value and derivative formulas, its property row (limits at +-inf,
+monotonicity, semi-periodic period), its parameter defaults, checks and
+trainable set, and its kink slopes. Adding an activation means adding one
+record, and nothing outside this file.
 """
 
 from __future__ import annotations
@@ -41,19 +41,6 @@ __all__ = [
     "kind_to_dict",
     "kind_from_dict",
 ]
-
-ACTIVATION_NAMES = (
-    "sigmoid",
-    "tanh",
-    "sine",
-    "relu",
-    "elu",
-    "prelu",
-    "gelu",
-    "silu",
-    "snake",
-    "leakysinelu",
-)
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -112,21 +99,6 @@ def _phi(x):
     return np.exp(-0.5 * np.square(x)) / _SQRT_2PI
 
 
-# Forward formulas. Each takes (x, params) with x a float64 scalar or array.
-_FORWARD: dict[str, Callable] = {
-    "sigmoid": lambda x, p: _sigmoid(x),
-    "tanh": lambda x, p: np.tanh(x),
-    "sine": lambda x, p: np.sin(x),
-    "relu": lambda x, p: np.maximum(0.0, x),
-    "elu": lambda x, p: np.where(x > 0, x, p["alpha"] * np.expm1(np.minimum(x, 0.0))),
-    "prelu": lambda x, p: np.where(x >= 0, x, p["alpha"] * x),
-    "gelu": lambda x, p: x * ndtr(x),
-    "silu": lambda x, p: x * _sigmoid(x),
-    "snake": lambda x, p: x + np.square(np.sin(p["a"] * x)) / p["a"],
-    "leakysinelu": lambda x, p: _leakysinelu(x),
-}
-
-
 # The two LeakySineLU formulas work in one output buffer (out= keeps a 0-d
 # input a 0-d array) and halve only the negative branch (where=).
 def _leakysinelu(x):
@@ -149,94 +121,127 @@ def _silu_deriv(x):
     return s * (1.0 + x * (1.0 - s))
 
 
-# Analytic derivatives, with the canonical sub-gradient at kinks:
-# relu'(0) = 0, prelu'(0) = 1, leakysinelu'(0) = 1.
-_DERIVATIVE: dict[str, Callable] = {
-    "sigmoid": lambda x, p: _sigmoid(x) * (1.0 - _sigmoid(x)),
-    "tanh": lambda x, p: 1.0 - np.square(np.tanh(x)),
-    "sine": lambda x, p: np.cos(x),
-    "relu": lambda x, p: np.where(x > 0, 1.0, 0.0),
-    "elu": lambda x, p: np.where(x > 0, 1.0, p["alpha"] * np.exp(np.minimum(x, 0.0))),
-    "prelu": lambda x, p: np.where(x >= 0, 1.0, p["alpha"]),
-    "gelu": lambda x, p: ndtr(x) + x * _phi(x),
-    "silu": lambda x, p: _silu_deriv(x),
-    "snake": lambda x, p: 1.0 + np.sin(2.0 * p["a"] * x),
-    "leakysinelu": lambda x, p: _leakysinelu_deriv(x),
-}
+@dataclass(frozen=True)
+class _Entry:
+    """Everything known about one activation.
 
-# Partial of the output w.r.t. the kind's one parameter; only the kinds
-# listed here may train it.
-_PARAM_DERIVATIVE: dict[str, Callable] = {
-    "prelu": lambda x, p: np.where(x < 0, x, 0.0),
-    "snake": lambda x, p: (x * np.sin(2.0 * p["a"] * x) / p["a"]
-                           - np.square(np.sin(p["a"] * x)) / np.square(p["a"])),
-}
+    ``value``, ``derivative`` and ``param_derivative`` take ``(x, params)``
+    with x a float64 scalar or array; ``derivative`` gives the canonical
+    sub-gradient at a kink. ``limits`` are the limits at -inf and +inf (None
+    when there is none) and ``period`` maps the params to the semi-periodic
+    period. ``param_derivative`` is the partial w.r.t. the one parameter,
+    set only where that parameter may be trained. ``kink_slopes`` maps the
+    params to the one-sided slopes (left, right) at the kink x = 0, and
+    ``check`` maps them to an error message, or None when they are valid.
+    """
 
-# (defaults, learnable-by-default) per parametric kind.
-_PARAM_DEFAULTS: dict[str, tuple[dict[str, float], frozenset[str]]] = {
-    "elu": ({"alpha": 1.0}, frozenset()),
-    "prelu": ({"alpha": 0.25}, frozenset({"alpha"})),
-    "snake": ({"a": 1.0}, frozenset()),
-}
+    value: Callable
+    derivative: Callable
+    limits: tuple[float | None, float | None]
+    monotonic: bool
+    period: Callable | None = None
+    deviation: str | None = None
+    defaults: Mapping[str, float] = field(default_factory=dict)
+    learnable: frozenset[str] = frozenset()
+    param_derivative: Callable | None = None
+    kink_slopes: Callable | None = None
+    check: Callable | None = None
 
-# One-sided slopes (left, right) at the kink x = 0, from the params.
-_KINK_SLOPES: dict[str, Callable] = {
-    "relu": lambda p: (0.0, 1.0),
-    "prelu": lambda p: (p["alpha"], 1.0),
-    # One-sided limits of sin(2x)+1 and its halved branch.
-    "leakysinelu": lambda p: (0.5, 1.0),
-}
 
 _INF = float("inf")
 
-_SINE_DEVIATION = (
-    "commonly tabulated as bounded in [0, 1]; sin(x) has no limit at +-inf "
-    "and its range is [-1, 1], so no limit is stored"
-)
-
-# (lower_limit, upper_limit, monotonic, semi_periodic_period, deviation)
-_CATALOG: dict[str, tuple] = {
-    "sigmoid": (0.0, 1.0, True, None, None),
-    "tanh": (-1.0, 1.0, True, None, None),
-    "sine": (None, None, False, 2.0 * math.pi, _SINE_DEVIATION),
-    "relu": (0.0, _INF, True, None, None),
-    "elu": (-1.0, _INF, True, None, None),
-    "prelu": (-_INF, _INF, True, None, None),
-    "gelu": (0.0, _INF, False, None, None),
-    "silu": (0.0, _INF, False, None, None),
-    "snake": (-_INF, _INF, True, math.pi, None),
-    "leakysinelu": (-_INF, _INF, True, math.pi, None),
+# Insertion order is ACTIVATION_NAMES, which orders sweep cells and stats columns.
+_REGISTRY: dict[str, _Entry] = {
+    "sigmoid": _Entry(
+        value=lambda x, p: _sigmoid(x),
+        derivative=lambda x, p: _sigmoid(x) * (1.0 - _sigmoid(x)),
+        limits=(0.0, 1.0), monotonic=True,
+    ),
+    "tanh": _Entry(
+        value=lambda x, p: np.tanh(x),
+        derivative=lambda x, p: 1.0 - np.square(np.tanh(x)),
+        limits=(-1.0, 1.0), monotonic=True,
+    ),
+    "sine": _Entry(
+        value=lambda x, p: np.sin(x),
+        derivative=lambda x, p: np.cos(x),
+        limits=(None, None), monotonic=False, period=lambda p: 2.0 * math.pi,
+        deviation=("commonly tabulated as bounded in [0, 1]; sin(x) has no limit at +-inf "
+                   "and its range is [-1, 1], so no limit is stored"),
+    ),
+    "relu": _Entry(
+        value=lambda x, p: np.maximum(0.0, x),
+        derivative=lambda x, p: np.where(x > 0, 1.0, 0.0),
+        limits=(0.0, _INF), monotonic=True, kink_slopes=lambda p: (0.0, 1.0),
+    ),
+    "elu": _Entry(
+        value=lambda x, p: np.where(x > 0, x, p["alpha"] * np.expm1(np.minimum(x, 0.0))),
+        derivative=lambda x, p: np.where(x > 0, 1.0, p["alpha"] * np.exp(np.minimum(x, 0.0))),
+        limits=(-1.0, _INF), monotonic=True, defaults={"alpha": 1.0},
+        check=lambda p: f"elu alpha must be > 0, got {p['alpha']}" if p["alpha"] <= 0 else None,
+    ),
+    "prelu": _Entry(
+        value=lambda x, p: np.where(x >= 0, x, p["alpha"] * x),
+        derivative=lambda x, p: np.where(x >= 0, 1.0, p["alpha"]),
+        limits=(-_INF, _INF), monotonic=True,
+        defaults={"alpha": 0.25}, learnable=frozenset({"alpha"}),
+        param_derivative=lambda x, p: np.where(x < 0, x, 0.0),
+        kink_slopes=lambda p: (p["alpha"], 1.0),
+    ),
+    "gelu": _Entry(
+        value=lambda x, p: x * ndtr(x),
+        derivative=lambda x, p: ndtr(x) + x * _phi(x),
+        limits=(0.0, _INF), monotonic=False,
+    ),
+    "silu": _Entry(
+        value=lambda x, p: x * _sigmoid(x),
+        derivative=lambda x, p: _silu_deriv(x),
+        limits=(0.0, _INF), monotonic=False,
+    ),
+    "snake": _Entry(
+        value=lambda x, p: x + np.square(np.sin(p["a"] * x)) / p["a"],
+        derivative=lambda x, p: 1.0 + np.sin(2.0 * p["a"] * x),
+        limits=(-_INF, _INF), monotonic=True, period=lambda p: math.pi / abs(p["a"]),
+        defaults={"a": 1.0},
+        param_derivative=lambda x, p: (x * np.sin(2.0 * p["a"] * x) / p["a"]
+                                       - np.square(np.sin(p["a"] * x)) / np.square(p["a"])),
+        check=lambda p: "snake a must be nonzero" if p["a"] == 0 else None,
+    ),
+    "leakysinelu": _Entry(
+        value=lambda x, p: _leakysinelu(x),
+        derivative=lambda x, p: _leakysinelu_deriv(x),
+        limits=(-_INF, _INF), monotonic=True, period=lambda p: math.pi,
+        # One-sided limits of sin(2x)+1 and its halved branch.
+        kink_slopes=lambda p: (0.5, 1.0),
+    ),
 }
+
+ACTIVATION_NAMES = tuple(_REGISTRY)
 
 
 def activation(name: str, *, learnable=None, **params: float) -> ActivationKind:
     """Build a validated ActivationKind from its canonical name."""
-    if name not in ACTIVATION_NAMES:
+    entry = _REGISTRY.get(name)
+    if entry is None:
         raise ConfigError(
-            f"unknown activation {name!r}; choose one of {', '.join(ACTIVATION_NAMES)}"
+            f"unknown activation {name!r}; choose one of {', '.join(_REGISTRY)}"
         )
-    defaults, default_learnable = _PARAM_DEFAULTS.get(name, ({}, frozenset()))
-    unknown = set(params) - set(defaults)
+    unknown = set(params) - set(entry.defaults)
     if unknown:
         raise ConfigError(f"{name} takes no parameter(s) {sorted(unknown)}")
-    merged = {k: float(params.get(k, v)) for k, v in defaults.items()}
-    _validate_params(name, merged)
-    flags = default_learnable if learnable is None else frozenset(learnable)
-    if not flags <= set(merged):
-        raise ConfigError(f"learnable flags {sorted(flags)} not all parameters of {name}")
-    if flags and name not in _PARAM_DERIVATIVE:
-        raise ConfigError(f"{name} has no trainable parameter; drop {sorted(flags)}")
-    return ActivationKind(name=name, params=merged, learnable=flags)
-
-
-def _validate_params(name: str, params: dict[str, float]) -> None:
-    for key, value in params.items():
+    merged = {k: float(params.get(k, v)) for k, v in entry.defaults.items()}
+    for key, value in merged.items():
         if not math.isfinite(value):
             raise ConfigError(f"{name} parameter {key} must be finite, got {value}")
-    if name == "elu" and params["alpha"] <= 0:
-        raise ConfigError(f"elu alpha must be > 0, got {params['alpha']}")
-    if name == "snake" and params["a"] == 0:
-        raise ConfigError("snake a must be nonzero")
+    error = entry.check(merged) if entry.check else None
+    if error:
+        raise ConfigError(error)
+    flags = entry.learnable if learnable is None else frozenset(learnable)
+    if not flags <= set(merged):
+        raise ConfigError(f"learnable flags {sorted(flags)} not all parameters of {name}")
+    if flags and entry.param_derivative is None:
+        raise ConfigError(f"{name} has no trainable parameter; drop {sorted(flags)}")
+    return ActivationKind(name=name, params=merged, learnable=flags)
 
 
 def _as_kind(kind) -> ActivationKind:
@@ -266,23 +271,24 @@ def array_value(kind, x, params=None) -> np.ndarray:
     broadcast against ``x``.
     """
     kind = _as_kind(kind)
-    return _FORWARD[kind.name](np.asarray(x, dtype=np.float64),
-                               kind.params if params is None else params)
+    return _REGISTRY[kind.name].value(np.asarray(x, dtype=np.float64),
+                                      kind.params if params is None else params)
 
 
 def array_derivative(kind, x, params=None) -> np.ndarray:
     """Vectorized analytic derivative with canonical sub-gradients at kinks."""
     kind = _as_kind(kind)
-    return _DERIVATIVE[kind.name](np.asarray(x, dtype=np.float64),
-                                  kind.params if params is None else params)
+    return _REGISTRY[kind.name].derivative(np.asarray(x, dtype=np.float64),
+                                           kind.params if params is None else params)
 
 
 def param_derivative(kind, x, params) -> np.ndarray:
     """Elementwise partial of the output w.r.t. the kind's one parameter."""
     kind = _as_kind(kind)
-    if kind.name not in _PARAM_DERIVATIVE:
+    partial = _REGISTRY[kind.name].param_derivative
+    if partial is None:
         raise ConfigError(f"{kind.name} has no trainable parameter")
-    return _PARAM_DERIVATIVE[kind.name](np.asarray(x, dtype=np.float64), params)
+    return partial(np.asarray(x, dtype=np.float64), params)
 
 
 def _finite_input(x: float) -> float:
@@ -303,7 +309,7 @@ def derivative(kind, x: float) -> float:
 
 def kink_points(kind) -> tuple[float, ...]:
     """Points where the derivative jumps (empty for smooth kinds)."""
-    return (0.0,) if _as_kind(kind).name in _KINK_SLOPES else ()
+    return (0.0,) if _REGISTRY[_as_kind(kind).name].kink_slopes else ()
 
 
 def subdifferential(kind, x: float) -> Subdifferential:
@@ -314,7 +320,7 @@ def subdifferential(kind, x: float) -> Subdifferential:
     """
     kind = _as_kind(kind)
     if _finite_input(x) in kink_points(kind):
-        slopes = _KINK_SLOPES[kind.name](kind.params)
+        slopes = _REGISTRY[kind.name].kink_slopes(kind.params)
         return Subdifferential(min(slopes), max(slopes))
     d = derivative(kind, x)
     return Subdifferential(d, d)
@@ -323,15 +329,13 @@ def subdifferential(kind, x: float) -> Subdifferential:
 def catalog(kind) -> PropertyRecord:
     """Static property record: limits at +-inf, monotonicity, periodicity."""
     kind = _as_kind(kind)
-    lower, upper, mono, period, deviation = _CATALOG[kind.name]
-    if kind.name == "snake":
-        period = math.pi / abs(kind.params["a"])
+    entry = _REGISTRY[kind.name]
     return PropertyRecord(
         kind=kind,
-        lower_limit=lower,
-        upper_limit=upper,
-        monotonic=mono,
-        semi_periodic_period=period,
-        deviation=deviation,
+        lower_limit=entry.limits[0],
+        upper_limit=entry.limits[1],
+        monotonic=entry.monotonic,
+        semi_periodic_period=entry.period(kind.params) if entry.period else None,
+        deviation=entry.deviation,
     )
 

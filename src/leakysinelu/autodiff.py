@@ -31,6 +31,10 @@ __all__ = [
 ]
 
 
+BN_MOMENTUM = 0.1
+BN_EPS = 1e-5
+
+
 class Tensor:
     """A float64 array plus its accumulated gradient."""
 
@@ -98,10 +102,10 @@ def _accumulate(t: Tensor, g, op: str) -> None:
         t.grad += g
 
 
-def _emit(tape: Tape | None, op: str, data: np.ndarray, backward_fn=None) -> Tensor:
+def _emit(tape: Tape | None, op: str, data: np.ndarray, backward_fn) -> Tensor:
     _check_finite(data, op)
     out = Tensor(data)
-    if tape is not None and backward_fn is not None:
+    if tape is not None:
         tape.record(op, out, backward_fn)
     return out
 
@@ -178,15 +182,14 @@ def batch_norm1d(
     running_var: np.ndarray,
     training: bool,
     tape: Tape | None = None,
-    momentum: float = 0.1,
-    eps: float = 1e-5,
     update_running: bool = True,
 ) -> Tensor:
     """Per-channel standardization of (B,C,L) with learnable scale/shift.
 
     Training mode standardizes with batch statistics over the (B,L) axes
     (population variance) and optionally folds them into the running
-    estimates; inference mode uses the running estimates.
+    estimates with momentum ``BN_MOMENTUM``; inference mode uses the running
+    estimates. ``BN_EPS`` is added to the variance.
     """
     if x.data.ndim != 3:
         raise ShapeError("batch_norm1d expects (B,C,L)")
@@ -206,13 +209,13 @@ def batch_norm1d(
     if training:
         var = np.multiply(xhat, xhat, out=out_data).sum(axis=(0, 2)) / n
         if update_running:
-            running_mean *= 1.0 - momentum
-            running_mean += momentum * mean
-            running_var *= 1.0 - momentum
-            running_var += momentum * var
+            running_mean *= 1.0 - BN_MOMENTUM
+            running_mean += BN_MOMENTUM * mean
+            running_var *= 1.0 - BN_MOMENTUM
+            running_var += BN_MOMENTUM * var
     else:
         var = running_var
-    inv = (1.0 / np.sqrt(var + eps))[None, :, None]
+    inv = (1.0 / np.sqrt(var + BN_EPS))[None, :, None]
     xhat *= inv
     np.multiply(xhat, gamma.data[None, :, None], out=out_data)
     out_data += beta.data[None, :, None]
@@ -261,22 +264,6 @@ def dropout(
     return _emit(tape, "dropout", out_data, bwd)
 
 
-def _param_view(param: Tensor, ndim: int):
-    # Broadcast a per-channel parameter (C,) or scalar over (B,C) / (B,C,L).
-    if param.data.ndim == 0 or param.data.size == 1:
-        return param.data.reshape(())
-    shape = [1] * ndim
-    shape[1] = param.data.shape[0]
-    return param.data.reshape(shape)
-
-
-def _reduce_like(contrib: np.ndarray, param: Tensor) -> np.ndarray:
-    if param.data.ndim == 0 or param.data.size == 1:
-        return np.asarray(contrib.sum()).reshape(param.data.shape)
-    axes = tuple(i for i in range(contrib.ndim) if i != 1)
-    return contrib.sum(axis=axes)
-
-
 def activate(
     x: Tensor,
     kind: zoo.ActivationKind,
@@ -285,15 +272,16 @@ def activate(
 ) -> Tensor:
     """Apply an activation elementwise.
 
-    ``param`` carries a trainable tensor for the kind's one parameter (a
-    scalar, or one value per channel along axis 1); when omitted the fixed
-    values in ``kind.params`` are used.
+    ``param`` carries a trainable tensor for the kind's one parameter, one
+    value per channel along axis 1 of x; when omitted the fixed values in
+    ``kind.params`` are used.
     """
     xd = x.data
     params = kind.params
     if param is not None:
         (name,) = kind.params
-        params = {name: _param_view(param, xd.ndim)}
+        params = {name: param.data.reshape((1, -1) + (1,) * (xd.ndim - 2))}
+        other_axes = (0, *range(2, xd.ndim))
     out_data = zoo.array_value(kind, xd, params)
 
     def bwd(g):
@@ -302,7 +290,7 @@ def activate(
         _accumulate(x, dx, kind.name)
         if param is not None:
             contrib = zoo.param_derivative(kind, xd, params) * g
-            _accumulate(param, _reduce_like(contrib, param), kind.name)
+            _accumulate(param, contrib.sum(axis=other_axes), kind.name)
 
     return _emit(tape, kind.name, out_data, bwd)
 

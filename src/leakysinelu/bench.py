@@ -53,6 +53,7 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 2
+_SETTLED = ("completed", "diverged")  # statuses a rerun cannot change
 
 ARCH_DEFAULTS = {
     "mlp": {"optimizer": "adadelta", "learning_rate": 1.0, "epochs": 1000},
@@ -300,14 +301,6 @@ class ResultsStore:
                     raise DataError(f"{self.path}:{lineno}: malformed record: {exc}") from exc
         return records
 
-    def settled_hashes(self) -> set[str]:
-        """Hashes with a determinate outcome (completed or diverged)."""
-        return {
-            r["config_hash"]
-            for r in self.load()
-            if r["status"] in ("completed", "diverged")
-        }
-
     def append(self, record: dict) -> None:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with open(self.path, "a+b") as fh:
@@ -359,7 +352,17 @@ def run_sweep(
         for ds in dataset_names
         for act in activation_names
     ]
-    settled = store.settled_hashes()
+    # Per cell: the newest settled (completed or diverged) record, else the newest.
+    latest: dict[str, dict] = {}
+
+    def note(record: dict) -> None:
+        kept = latest.get(record["config_hash"])
+        if record["status"] in _SETTLED or kept is None or kept["status"] not in _SETTLED:
+            latest[record["config_hash"]] = record
+
+    for record in store.load():
+        note(record)
+    settled = {h for h, r in latest.items() if r["status"] in _SETTLED}
     pending = [c for c in cells if c["config_hash"] not in settled]
     outcome = SweepOutcome(records=[], n_cached=len(cells) - len(pending))
     fresh: dict[str, dict] = {}
@@ -367,6 +370,7 @@ def run_sweep(
     def keep(record: dict) -> None:
         store.append(record)
         fresh[record["config_hash"]] = record
+        note(record)
 
     if pending and jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -385,10 +389,5 @@ def run_sweep(
             keep(run_cell(payload))
     outcome.n_trained = sum(1 for r in fresh.values() if r["status"] == "completed")
     outcome.n_failed = sum(1 for r in fresh.values() if r["status"] != "completed")
-    by_hash: dict[str, dict] = {}
-    for record in store.load():
-        by_hash.setdefault(record["config_hash"], record)
-        if record["status"] in ("completed", "diverged"):
-            by_hash[record["config_hash"]] = record
-    outcome.records = [by_hash[c["config_hash"]] for c in cells if c["config_hash"] in by_hash]
+    outcome.records = [latest[c["config_hash"]] for c in cells if c["config_hash"] in latest]
     return outcome

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from leakysinelu import activations as zoo
+from leakysinelu import properties
 from leakysinelu.errors import ConfigError, DomainError
 
 ALL_KINDS = [zoo.activation(name) for name in zoo.ACTIVATION_NAMES]
@@ -210,3 +211,37 @@ class TestTrainableParameters:
     def test_param_derivative_rejects_fixed_kinds(self):
         with pytest.raises(ConfigError):
             zoo.param_derivative(zoo.activation("elu"), np.zeros(3), {"alpha": 1.0})
+
+
+class TestRegistry:
+    def test_names_keep_their_order(self):
+        # The order fixes the sweep's cell order and the stats columns, so
+        # it feeds every results digest.
+        assert zoo.ACTIVATION_NAMES == (
+            "sigmoid", "tanh", "sine", "relu", "elu",
+            "prelu", "gelu", "silu", "snake", "leakysinelu",
+        )
+
+    def test_one_entry_adds_an_activation(self, monkeypatch):
+        identity = zoo._Entry(
+            value=lambda x, p: x,
+            derivative=lambda x, p: np.ones_like(x),
+            limits=(-math.inf, math.inf), monotonic=True,
+        )
+        monkeypatch.setattr(zoo, "_REGISTRY", {**zoo._REGISTRY, "identity": identity})
+        kind = zoo.activation("identity")
+        assert kind.params == {} and kind.learnable == frozenset()
+        rec = zoo.catalog(kind)
+        assert (rec.lower_limit, rec.upper_limit, rec.monotonic) == (-math.inf, math.inf, True)
+        assert rec.semi_periodic_period is None and rec.deviation is None
+        x = np.linspace(-3.0, 3.0, 7)
+        assert np.array_equal(zoo.array_value(kind, x), x)
+        assert np.array_equal(zoo.array_derivative(kind, x), np.ones(7))
+        assert zoo.kink_points(kind) == ()
+        assert zoo.subdifferential(kind, 0.0) == zoo.Subdifferential(1.0, 1.0)
+        report = properties.property_report("identity")
+        assert report.matches_catalog, report.mismatches
+        with pytest.raises(ConfigError, match="leakysinelu, identity"):
+            zoo.activation("swish")
+        with pytest.raises(ConfigError, match="no trainable parameter"):
+            zoo.param_derivative(kind, x, {})

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 
 import numpy as np
@@ -131,14 +132,47 @@ class TestSweep:
     def test_divergence_recorded_without_aborting(self, tmp_path, monkeypatch):
         root = make_ucr_root(tmp_path / "ucr", ["S1"], n_train=8, n_test=8, length=12)
         store = self._store(tmp_path)
-        blown = dict(zoo._FORWARD)
-        blown["sine"] = lambda x, p: np.full_like(np.asarray(x, dtype=np.float64), np.inf)
-        monkeypatch.setattr(zoo, "_FORWARD", blown)
+        blown = dict(zoo._REGISTRY)
+        blown["sine"] = dataclasses.replace(
+            blown["sine"],
+            value=lambda x, p: np.full_like(np.asarray(x, dtype=np.float64), np.inf),
+        )
+        monkeypatch.setattr(zoo, "_REGISTRY", blown)
         out = run_sweep(["S1"], ["relu", "sine"], "mlp", root, store, overrides={"epochs": 2})
         by_act = {r["config"]["activation"]["name"]: r for r in out.records}
         assert by_act["relu"]["status"] == "completed"
         assert by_act["sine"]["status"] == "diverged"
         assert by_act["sine"]["diverged_epoch"] == 0
+
+    def test_retried_failure_returns_the_newest_record(self, tmp_path, monkeypatch):
+        store = self._store(tmp_path)
+        attempts = []
+
+        def failing_cell(payload):
+            attempts.append(payload["config_hash"])
+            return RunResult(
+                dataset=payload["dataset"], config=payload["config"],
+                config_hash=payload["config_hash"], status="failed",
+                error=f"attempt {len(attempts)}",
+            ).to_record()
+
+        monkeypatch.setattr(bench, "run_cell", failing_cell)
+        first = run_sweep(["S1"], ["relu"], "mlp", tmp_path, store)
+        second = run_sweep(["S1"], ["relu"], "mlp", tmp_path, store)
+        assert [r["error"] for r in first.records] == ["attempt 1"]
+        assert [r["error"] for r in second.records] == ["attempt 2"]
+        assert second.n_failed == 1 and second.n_cached == 0
+        assert [r["error"] for r in store.load()] == ["attempt 1", "attempt 2"]
+
+    def test_settled_record_outranks_a_newer_failure(self, tmp_path):
+        store = self._store(tmp_path)
+        cfg = TrainConfig.for_architecture("mlp", "relu")
+        base = {"dataset": "S1", "config": cfg.to_dict(), "config_hash": cell_hash("S1", cfg)}
+        store.append(RunResult(**base, status="completed", accuracy=0.5).to_record())
+        store.append(RunResult(**base, status="failed", error="late").to_record())
+        out = run_sweep(["S1"], ["relu"], "mlp", tmp_path, store)
+        assert out.n_cached == 1 and out.n_trained == 0
+        assert [r["status"] for r in out.records] == ["completed"]
 
     def test_missing_dataset_recorded_as_failure(self, tmp_path):
         root = make_ucr_root(tmp_path / "ucr", ["S1"], n_train=8, n_test=8, length=12)
