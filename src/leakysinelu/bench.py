@@ -36,7 +36,7 @@ from .models import (
     wrap_params,
 )
 from .autodiff import Tape, sigmoid_bce, softmax_xent
-from .optim import Adadelta, Adam
+from .optim import OPTIMIZERS
 
 __all__ = [
     "TrainConfig",
@@ -56,9 +56,16 @@ SCHEMA_VERSION = 2
 _SETTLED = ("completed", "diverged")  # statuses a rerun cannot change
 
 ARCH_DEFAULTS = {
-    "mlp": {"optimizer": "adadelta", "learning_rate": 1.0, "epochs": 1000},
+    "mlp": {"optimizer": "adadelta", "learning_rate": 1.0, "epochs": 1000, "norm_enabled": False},
     "fcn": {"optimizer": "adam", "learning_rate": 0.001, "epochs": 2000},
 }
+
+
+def _known(kind: str, name: str, table: dict):
+    """``table[name]``, or ConfigError naming the choices."""
+    if name not in table:
+        raise ConfigError(f"unknown {kind} {name!r}; choose from {', '.join(table)}")
+    return table[name]
 
 
 class DivergenceError(NumericError):
@@ -82,6 +89,8 @@ class TrainConfig:
     norm_enabled: bool = True
 
     def __post_init__(self):
+        _known("architecture", self.architecture, ARCH_DEFAULTS)
+        _known("optimizer", self.optimizer, OPTIMIZERS)
         for name, least in (("epochs", 0), ("batch_size", 1), ("seed", 0)):
             if getattr(self, name) < least:
                 raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
@@ -89,11 +98,7 @@ class TrainConfig:
     @staticmethod
     def for_architecture(architecture: str, activation, **overrides) -> "TrainConfig":
         """Recipe defaults for one architecture, with explicit overrides."""
-        if architecture not in ARCH_DEFAULTS:
-            raise ConfigError(f"unknown architecture {architecture!r}")
-        values = dict(ARCH_DEFAULTS[architecture])
-        if architecture == "mlp":
-            values["norm_enabled"] = False
+        values = dict(_known("architecture", architecture, ARCH_DEFAULTS))
         values.update({k: v for k, v in overrides.items() if v is not None})
         return TrainConfig(
             architecture=architecture, activation=zoo._as_kind(activation), **values
@@ -111,11 +116,7 @@ class TrainConfig:
         return TrainConfig(**values)
 
     def make_optimizer(self):
-        if self.optimizer == "adadelta":
-            return Adadelta(lr=self.learning_rate)
-        if self.optimizer == "adam":
-            return Adam(lr=self.learning_rate)
-        raise ConfigError(f"unknown optimizer {self.optimizer!r}")
+        return OPTIMIZERS[self.optimizer](lr=self.learning_rate)
 
 
 @dataclass
@@ -335,7 +336,7 @@ def run_sweep(
 
     Cells run independently (optionally in ``jobs`` worker processes); each
     failure is recorded without aborting the sweep, and the returned records
-    cover every requested cell in (dataset, activation) order. A worker
+    hold one record per distinct cell in (dataset, activation) order. A worker
     that dies breaks the pool: every cell whose record had not arrived is
     recorded as failed, so the next sweep runs it again.
     """
@@ -352,6 +353,7 @@ def run_sweep(
         for ds in dataset_names
         for act in activation_names
     ]
+    cells = list({c["config_hash"]: c for c in cells}.values())  # a repeated cell runs once
     # Per cell: the newest settled (completed or diverged) record, else the newest.
     latest: dict[str, dict] = {}
 

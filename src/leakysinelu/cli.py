@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from . import activations as zoo
 from . import kernels
-from .bench import ResultsStore, TrainConfig, cell_payload, run_cell, run_sweep
+from .bench import ARCH_DEFAULTS, ResultsStore, TrainConfig, cell_payload, run_cell, run_sweep
 from .data import data_root as resolve_data_root
 from .data import load_dataset_pair
 from .errors import ConfigError, DataError, LeakySineLUError, NumericError
@@ -245,8 +245,8 @@ def cmd_compare(args) -> int:
         for dataset, method in missing:
             print(f"  {dataset} x {method}", file=sys.stderr)
         return EXIT_INCOMPLETE
-    outdir = _invocation_dir("compare", args.out, resolved)
     report = build_report(matrix, alpha=args.alpha)
+    outdir = _invocation_dir("compare", args.out, resolved)
     written = write_report_files(report, matrix, outdir)
     for method in report.methods:
         print(f"{method}: avg_rank={report.avg_ranks[method]:.4f} "
@@ -258,6 +258,8 @@ def cmd_compare(args) -> int:
 def _trace_series(args) -> np.ndarray:
     if args.grid is not None:
         lo, hi, n = args.grid
+        if not (np.isfinite([lo, hi]).all() and n >= 1 and n.is_integer()):
+            raise ConfigError(f"--grid needs finite LO, HI and a whole N >= 1, got {lo} {hi} {n}")
         return np.linspace(lo, hi, int(n))
     value = args.input
     path = Path(value)
@@ -271,6 +273,9 @@ def _trace_series(args) -> np.ndarray:
         raise DataError(f"cannot parse trace input: {exc}") from exc
     if series.size == 0:
         raise DataError("trace input is empty")
+    finite = np.isfinite(series)
+    if not finite.all():
+        raise DataError(f"trace input: non-finite value {tokens[int(np.argmin(finite))]!r}")
     return series
 
 
@@ -308,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     # Flags shared by train and bench: the recipe overrides and where to read/write.
     cell = argparse.ArgumentParser(add_help=False)
-    cell.add_argument("--arch", required=True, choices=["mlp", "fcn"])
+    cell.add_argument("--arch", required=True, choices=list(ARCH_DEFAULTS))
     cell.add_argument("--data-root", dest="data_root")
     cell.add_argument("--config", dest="config_file",
                       help='JSON file {"data_root": DIR}; any other key is an error (exit 3)')
@@ -335,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="statistical comparison from a results file")
     p.add_argument("--results", required=True)
-    p.add_argument("--arch", required=True, choices=["mlp", "fcn"])
+    p.add_argument("--arch", required=True, choices=list(ARCH_DEFAULTS))
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_compare)

@@ -1,20 +1,25 @@
-"""Adam and Adadelta parameter updates.
+"""Adam and Adadelta parameter updates on one shared core.
 
-The elementwise update of each parameter tensor runs as one in-place numpy
-kernel (``kernels.adam_update`` / ``kernels.adadelta_update``) on flat
-views of the parameter, its gradient and its accumulators.
+``_Optimizer`` is the one place where optimizer state is made
+(``init_state``: zeroed ``SLOTS`` per parameter, the optimizer's own
+fields as ``hyper``) and where every step starts (``_views``: check the
+state, count the step, hand out flat views). A new optimizer is a
+dataclass with its fields, its ``SLOTS`` and one ``step`` that passes those
+views to its in-place kernel in ``kernels``, looked up at call time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import kernels
 from .errors import ShapeError
 
-__all__ = ["OptimizerState", "Adam", "Adadelta"]
+__all__ = ["OptimizerState", "Adam", "Adadelta", "OPTIMIZERS"]
+
+Arrays = dict[str, np.ndarray]
 
 
 @dataclass
@@ -25,103 +30,72 @@ class OptimizerState:
     slots: dict[str, dict[str, np.ndarray]]
     step_count: int = 0
 
-    def check_shapes(self, params: dict[str, np.ndarray]) -> None:
-        if set(self.slots) != set(params):
+
+class _Optimizer:
+    SLOTS: tuple[str, ...] = ()
+
+    def init_state(self, params: Arrays) -> OptimizerState:
+        return OptimizerState(
+            hyper=asdict(self),
+            slots={name: {s: np.zeros_like(p) for s in self.SLOTS} for name, p in params.items()},
+        )
+
+    def _views(self, state: OptimizerState, params: Arrays, grads: Arrays) -> list[tuple]:
+        """Check ``state`` against ``params``, count the step, and return one
+        (param, grad, *slots) tuple of flat views per parameter."""
+        if state.slots.keys() != params.keys():
             raise ShapeError("optimizer state does not cover the same parameters")
-        for name, arrs in self.slots.items():
-            for arr in arrs.values():
-                if arr.shape != params[name].shape:
-                    raise ShapeError(f"accumulator shape mismatch for {name}")
-
-
-def _flat(arr: np.ndarray) -> np.ndarray:
-    return arr.reshape(-1)
+        views = []
+        for name, p in params.items():
+            slots = state.slots[name]
+            if slots.keys() != set(self.SLOTS) or any(a.shape != p.shape for a in slots.values()):
+                raise ShapeError(f"optimizer state for {name} needs slots "
+                                 f"{', '.join(self.SLOTS)} of shape {p.shape}")
+            views.append((
+                p.reshape(-1),
+                np.ascontiguousarray(grads[name]).reshape(-1),
+                *(slots[s].reshape(-1) for s in self.SLOTS),
+            ))
+        state.step_count += 1
+        return views
 
 
 @dataclass
-class Adam:
+class Adam(_Optimizer):
     lr: float = 0.001
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
+    SLOTS = ("m", "v")
 
-    def init_state(self, params: dict[str, np.ndarray]) -> OptimizerState:
-        slots = {
-            name: {"m": np.zeros_like(p), "v": np.zeros_like(p)}
-            for name, p in params.items()
-        }
-        return OptimizerState(
-            hyper={"lr": self.lr, "beta1": self.beta1, "beta2": self.beta2, "eps": self.eps},
-            slots=slots,
-        )
-
-    def step(
-        self,
-        state: OptimizerState,
-        params: dict[str, np.ndarray],
-        grads: dict[str, np.ndarray],
-    ) -> dict[str, np.ndarray]:
+    def step(self, state: OptimizerState, params: Arrays, grads: Arrays) -> Arrays:
         """One bias-corrected Adam update, in place:
         m <- b1 m + (1-b1) g, v <- b2 v + (1-b2) g^2,
         p <- p - lr * (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps)."""
-        state.check_shapes(params)
-        state.step_count += 1
+        views = self._views(state, params, grads)
         t = state.step_count
         scale = self.lr / (1.0 - self.beta1**t)
         c2 = 1.0 - self.beta2**t
-        for name, p in params.items():
-            slot = state.slots[name]
-            kernels.adam_update(
-                _flat(p),
-                np.ascontiguousarray(grads[name]).reshape(-1),
-                _flat(slot["m"]),
-                _flat(slot["v"]),
-                self.beta1,
-                self.beta2,
-                scale,
-                c2,
-                self.eps,
-            )
+        for p, g, m, v in views:
+            kernels.adam_update(p, g, m, v, self.beta1, self.beta2, scale, c2, self.eps)
         return params
 
 
 @dataclass
-class Adadelta:
+class Adadelta(_Optimizer):
     lr: float = 1.0
     rho: float = 0.9
     eps: float = 1e-6
+    SLOTS = ("sq_grad", "sq_update")
 
-    def init_state(self, params: dict[str, np.ndarray]) -> OptimizerState:
-        slots = {
-            name: {"sq_grad": np.zeros_like(p), "sq_update": np.zeros_like(p)}
-            for name, p in params.items()
-        }
-        return OptimizerState(
-            hyper={"lr": self.lr, "rho": self.rho, "eps": self.eps},
-            slots=slots,
-        )
-
-    def step(
-        self,
-        state: OptimizerState,
-        params: dict[str, np.ndarray],
-        grads: dict[str, np.ndarray],
-    ) -> dict[str, np.ndarray]:
+    def step(self, state: OptimizerState, params: Arrays, grads: Arrays) -> Arrays:
         """One Adadelta update, in place:
         Eg <- rho Eg + (1-rho) g^2,
         d <- -sqrt((Ed + eps) / (Eg + eps)) g,
         Ed <- rho Ed + (1-rho) d^2, p <- p + lr d."""
-        state.check_shapes(params)
-        state.step_count += 1
-        for name, p in params.items():
-            slot = state.slots[name]
-            kernels.adadelta_update(
-                _flat(p),
-                np.ascontiguousarray(grads[name]).reshape(-1),
-                _flat(slot["sq_grad"]),
-                _flat(slot["sq_update"]),
-                self.lr,
-                self.rho,
-                self.eps,
-            )
+        for p, g, sq_grad, sq_update in self._views(state, params, grads):
+            kernels.adadelta_update(p, g, sq_grad, sq_update, self.lr, self.rho, self.eps)
         return params
+
+
+OPTIMIZERS = {"adam": Adam, "adadelta": Adadelta}

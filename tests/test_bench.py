@@ -39,6 +39,15 @@ class TestTrainConfig:
         cfg = TrainConfig.for_architecture("fcn", "prelu", epochs=5, seed=3)
         assert TrainConfig.from_dict(cfg.to_dict()) == cfg
 
+    @pytest.mark.parametrize("field, value", [
+        ("architecture", "resnet"), ("optimizer", "sgd"),
+    ])
+    def test_unknown_recipe_name_rejected(self, field, value):
+        doc = TrainConfig.for_architecture("mlp", "relu").to_dict()
+        doc[field] = value
+        with pytest.raises(ConfigError, match=f"unknown {field} '{value}'"):
+            TrainConfig.from_dict(doc)
+
     def test_hash_changes_with_config(self):
         a = TrainConfig.for_architecture("mlp", "relu")
         b = TrainConfig.for_architecture("mlp", "relu", seed=1)
@@ -180,6 +189,21 @@ class TestSweep:
         out = run_sweep(["S1", "Ghost"], ["relu"], "mlp", root, store, overrides={"epochs": 1})
         statuses = {r["dataset"]: r["status"] for r in out.records}
         assert statuses == {"S1": "completed", "Ghost": "failed"}
+
+    def test_repeated_cell_trains_once(self, tmp_path, monkeypatch):
+        root = make_ucr_root(tmp_path / "ucr", ["S1"], n_train=8, n_test=8, length=12)
+        store = self._store(tmp_path)
+        trained = []
+
+        def counting_cell(payload):
+            trained.append(payload["config_hash"])
+            return run_cell(payload)
+
+        monkeypatch.setattr(bench, "run_cell", counting_cell)
+        out = run_sweep(["S1", "S1"], ["relu", "relu"], "mlp", root, store,
+                        overrides={"epochs": 1})
+        assert len(trained) == 1 and len(store.load()) == 1
+        assert len(out.records) == 1 and out.n_trained == 1
 
     def test_empty_lists_rejected(self, tmp_path):
         with pytest.raises(ConfigError):

@@ -234,6 +234,14 @@ class TestCompare:
         assert code == 5
         assert "S2 x sine" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("alpha", ["1.5", "0"])
+    def test_bad_alpha_exits_2_without_output(self, tmp_path, alpha):
+        results = self._bench(tmp_path)
+        code = run(["compare", "--results", str(results), "--arch", "mlp",
+                    "--alpha", alpha, "--out", str(tmp_path / "cmp")])
+        assert code == 2
+        assert not list((tmp_path / "cmp").glob("compare-*"))
+
     def test_missing_results_file_exits_3(self, tmp_path):
         code = run(["compare", "--results", str(tmp_path / "none.jsonl"),
                     "--arch", "mlp", "--out", str(tmp_path / "cmp")])
@@ -270,6 +278,21 @@ class TestTrace:
         code = run(["trace", "--activation", "relu", *input_args])
         assert code == 0
         assert f"dead_fraction={fraction}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("input_args, code, message", [
+        (["--grid", "0", "1", "0"], 2, "--grid needs finite LO, HI and a whole N >= 1"),
+        (["--grid", "0", "1", "-5"], 2, "--grid needs finite LO, HI and a whole N >= 1"),
+        (["--grid", "0", "1", "2.7"], 2, "--grid needs finite LO, HI and a whole N >= 1"),
+        (["--grid", "nan", "1", "3"], 2, "--grid needs finite LO, HI and a whole N >= 1"),
+        (["--grid", "0", "inf", "3"], 2, "--grid needs finite LO, HI and a whole N >= 1"),
+        (["--input", "1 nan -inf"], 3, "non-finite value 'nan'"),
+        (["--input", "1 2 -inf"], 3, "non-finite value '-inf'"),
+    ], ids=["grid-zero", "grid-negative", "grid-fraction", "grid-nan-lo", "grid-inf-hi",
+            "input-nan", "input-inf"])
+    def test_bad_input_rejected(self, input_args, code, message, capsys):
+        assert run(["trace", "--activation", "relu", *input_args]) == code
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
 
     def test_dash_leading_from_sys_argv(self, monkeypatch, capsys):
         monkeypatch.setattr(

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from leakysinelu.models import (
     predict,
     save_checkpoint,
 )
-from leakysinelu.optim import Adam
+from leakysinelu.optim import Adadelta, Adam
 
 
 class TestBuildMlp:
@@ -155,3 +157,22 @@ class TestSerialization:
         for name in opt_state.slots:
             for slot in opt_state.slots[name]:
                 assert np.array_equal(opt_state.slots[name][slot], opt2.slots[name][slot])
+
+    @pytest.mark.parametrize("opt, hyper, slots", [
+        (Adam(), {"lr": 0.001, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8}, ["m", "v"]),
+        (Adadelta(), {"lr": 1.0, "rho": 0.9, "eps": 1e-6}, ["sq_grad", "sq_update"]),
+    ], ids=["adam", "adadelta"])
+    def test_checkpoint_meta_pins_optimizer(self, tmp_path, opt, hyper, slots):
+        spec = build_mlp(8, 2, "relu")
+        state = init_params(spec, 0)
+        opt_state = opt.init_state(state.params)
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(path, spec, state, opt_state)
+        with np.load(path) as blob:
+            meta = json.loads(bytes(blob["meta"]).decode())
+            files = blob.files
+        assert meta["format"] == 1
+        assert meta["optimizer"] == {"hyper": hyper, "step_count": 0}
+        assert [k for k in files if k.startswith("opt/")] == [
+            f"opt/{name}/{slot}" for name in state.params for slot in slots
+        ]

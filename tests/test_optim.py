@@ -99,3 +99,25 @@ class TestAdadelta:
             opt.step(state, params, {"w": g})
             moved = params["w"] - before
             assert np.all(np.sign(moved) == -np.sign(g))
+
+
+@pytest.mark.parametrize("opt_cls", [Adam, Adadelta])
+@pytest.mark.parametrize("built_for", [
+    {"w": np.zeros(3)},
+    {"u": np.zeros(2)},
+    {"w": np.zeros(2), "b": np.zeros(1)},
+], ids=["other-shape", "other-name", "extra-name"])
+def test_state_for_other_parameters_rejected(opt_cls, built_for):
+    params = {"w": np.zeros(2)}
+    opt = opt_cls()
+    state = opt.init_state(built_for)
+    with pytest.raises(ShapeError):
+        opt.step(state, params, {"w": np.ones(2)})
+    assert state.step_count == 0 and np.array_equal(params["w"], np.zeros(2))
+
+
+def test_state_of_the_other_optimizer_rejected():
+    params = {"w": np.zeros(2)}
+    state = Adam().init_state(params)
+    with pytest.raises(ShapeError):
+        Adadelta().step(state, params, {"w": np.ones(2)})
