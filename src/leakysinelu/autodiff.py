@@ -24,7 +24,6 @@ __all__ = [
     "batch_norm1d",
     "dropout",
     "activate",
-    "softmax",
     "softmax_xent",
     "sigmoid_bce",
     "mse",
@@ -61,9 +60,6 @@ class Tape:
 
     def __init__(self):
         self._records: list[tuple[str, Tensor, object]] = []
-
-    def __len__(self):
-        return len(self._records)
 
     def record(self, op: str, out: Tensor, backward_fn) -> None:
         self._records.append((op, out, backward_fn))
@@ -293,13 +289,6 @@ def activate(
             _accumulate(param, contrib.sum(axis=other_axes), kind.name)
 
     return _emit(tape, kind.name, out_data, bwd)
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax of a plain array, stabilized by max subtraction."""
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
 
 
 def softmax_xent(logits: Tensor, labels: np.ndarray, tape: Tape | None = None) -> Tensor:

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import activations as zoo
-from .data import Dataset, load_dataset_pair, znormalize
+from .data import ZNORM_MODES, Dataset, load_dataset_pair, znormalize
 from .errors import ConfigError, DataError, NumericError, ShapeError
 from .models import (
     ModelSpec,
@@ -61,11 +61,10 @@ ARCH_DEFAULTS = {
 }
 
 
-def _known(kind: str, name: str, table: dict):
-    """``table[name]``, or ConfigError naming the choices."""
-    if name not in table:
-        raise ConfigError(f"unknown {kind} {name!r}; choose from {', '.join(table)}")
-    return table[name]
+def _known(kind: str, name: str, choices) -> None:
+    """ConfigError naming the choices unless ``name`` is one of them."""
+    if name not in choices:
+        raise ConfigError(f"unknown {kind} {name!r}; choose from {', '.join(choices)}")
 
 
 class DivergenceError(NumericError):
@@ -91,6 +90,7 @@ class TrainConfig:
     def __post_init__(self):
         _known("architecture", self.architecture, ARCH_DEFAULTS)
         _known("optimizer", self.optimizer, OPTIMIZERS)
+        _known("znorm", self.znorm, ZNORM_MODES)
         for name, least in (("epochs", 0), ("batch_size", 1), ("seed", 0)):
             if getattr(self, name) < least:
                 raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
@@ -98,7 +98,8 @@ class TrainConfig:
     @staticmethod
     def for_architecture(architecture: str, activation, **overrides) -> "TrainConfig":
         """Recipe defaults for one architecture, with explicit overrides."""
-        values = dict(_known("architecture", architecture, ARCH_DEFAULTS))
+        _known("architecture", architecture, ARCH_DEFAULTS)
+        values = dict(ARCH_DEFAULTS[architecture])
         values.update({k: v for k, v in overrides.items() if v is not None})
         return TrainConfig(
             architecture=architecture, activation=zoo._as_kind(activation), **values

@@ -37,9 +37,7 @@ EXIT_DIVERGED = 4
 EXIT_INCOMPLETE = 5
 
 # Settings that change where/how work runs but not what it computes.
-_VOLATILE_KEYS = {"out", "jobs", "data_root", "config_file"}
-# The keys a --config file may hold.
-_CONFIG_KEYS = {"data_root"}
+_VOLATILE_KEYS = {"out", "jobs", "data_root"}
 
 
 def _invocation_dir(command: str, out_root: str, resolved: dict) -> Path:
@@ -60,38 +58,22 @@ def _invocation_dir(command: str, out_root: str, resolved: dict) -> Path:
     return outdir
 
 
-def _load_config_file(path: str | None) -> dict:
-    if not path:
-        return {}
-    try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataError(f"cannot read config file {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise DataError(f"config file {path} must hold a JSON object")
-    unknown = sorted(set(doc) - _CONFIG_KEYS)
-    if unknown:
-        raise DataError(f"config file {path}: unknown key(s) {', '.join(map(repr, unknown))}; "
-                        f"it may hold only {', '.join(sorted(_CONFIG_KEYS))}")
-    if not isinstance(doc.get("data_root", ""), str):
-        raise DataError(f"config file {path}: data_root must be a string")
-    return doc
-
-
 def _resolve_root(args) -> str:
-    cfg = _load_config_file(args.config_file)
-    root = resolve_data_root(args.data_root, cfg.get("data_root"))
+    root = resolve_data_root(args.data_root)
     if not root:
-        raise DataError(
-            "no dataset root: pass --data-root, set UCR_DATA_ROOT, or use a config file"
-        )
+        raise DataError("no dataset root: pass --data-root or set UCR_DATA_ROOT")
     return root
+
+
+def _unique(names) -> list[str]:
+    """The non-empty names, repeats dropped, in first-occurrence order."""
+    return [name for name in dict.fromkeys(names) if name]
 
 
 def _parse_activations(value: str) -> list[str]:
     if value == "all":
         return list(zoo.ACTIVATION_NAMES)
-    names = [v.strip() for v in value.split(",") if v.strip()]
+    names = _unique(v.strip() for v in value.split(","))
     for name in names:
         if name not in zoo.ACTIVATION_NAMES:
             raise ConfigError(
@@ -107,9 +89,9 @@ def _parse_datasets(value: str) -> list[str]:
         path = Path(value[1:])
         if not path.is_file():
             raise DataError(f"dataset list file not found: {path}")
-        names = [line.strip() for line in path.read_text().splitlines() if line.strip()]
+        names = _unique(line.strip() for line in path.read_text().splitlines())
     else:
-        names = [v.strip() for v in value.split(",") if v.strip()]
+        names = _unique(v.strip() for v in value.split(","))
     if not names:
         raise ConfigError("empty dataset list")
     return names
@@ -314,9 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
     # Flags shared by train and bench: the recipe overrides and where to read/write.
     cell = argparse.ArgumentParser(add_help=False)
     cell.add_argument("--arch", required=True, choices=list(ARCH_DEFAULTS))
-    cell.add_argument("--data-root", dest="data_root")
-    cell.add_argument("--config", dest="config_file",
-                      help='JSON file {"data_root": DIR}; any other key is an error (exit 3)')
+    cell.add_argument("--data-root", dest="data_root",
+                      help="directory of UCR datasets (default: $UCR_DATA_ROOT)")
     cell.add_argument("--epochs", type=int)
     cell.add_argument("--seed", type=int)
     cell.add_argument("--batch-size", dest="batch_size", type=int)

@@ -3,7 +3,8 @@
 Only the equal-length univariate layout is supported; ragged rows are
 rejected, and so are missing (NaN) or infinite labels and values. Labels
 are re-encoded to 0..C-1 in ascending numeric order of the original
-values, and train/test splits of one dataset share the encoding.
+values, and train/test splits of one dataset share the encoding. The
+dataset root is the ``--data-root`` flag value, else ``$UCR_DATA_ROOT``.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ __all__ = [
     "save_ucr_split",
     "data_root",
 ]
+
+ZNORM_MODES = ("per_series", "none")  # the normalizations znormalize applies
 
 
 @dataclass
@@ -159,10 +162,10 @@ def load_dataset_pair(root, name: str) -> tuple[Dataset, Dataset]:
 
 def znormalize(dataset: Dataset, mode: str = "per_series") -> Dataset:
     """Rescale each series to mean 0, population std 1 (constants go to zero)."""
+    if mode not in ZNORM_MODES:
+        raise DataError(f"unknown normalization mode {mode!r}")
     if mode == "none":
         return dataset
-    if mode != "per_series":
-        raise DataError(f"unknown normalization mode {mode!r}")
     x = dataset.series
     mean = x.mean(axis=1, keepdims=True)
     std = x.std(axis=1, keepdims=True)
@@ -181,15 +184,11 @@ def save_ucr_split(dataset: Dataset, path) -> None:
     inverse = {v: k for k, v in dataset.label_map.items()}
     with open(path, "w") as fh:
         for label, row in zip(dataset.labels, dataset.series):
-            fields = [inverse[int(label)]] + [np.format_float_positional(v, trim="0", unique=True) for v in row]
+            fields = [inverse[int(label)]]
+            fields += [np.format_float_positional(v, trim="0", unique=True) for v in row]
             fh.write("\t".join(fields) + "\n")
 
 
-def data_root(flag_value: str | None = None, config_value: str | None = None) -> str | None:
-    """Resolve the dataset root: flag > UCR_DATA_ROOT env > config file value."""
-    if flag_value:
-        return flag_value
-    env = os.environ.get("UCR_DATA_ROOT")
-    if env:
-        return env
-    return config_value
+def data_root(flag_value: str | None = None) -> str | None:
+    """The dataset root: the --data-root flag value, else $UCR_DATA_ROOT."""
+    return flag_value or os.environ.get("UCR_DATA_ROOT") or None

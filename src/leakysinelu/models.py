@@ -71,24 +71,30 @@ class ModelState:
     seed: int = 0
 
 
-def _check_sizes(input_length: int, n_classes: int) -> None:
+def _spec(
+    architecture: str, activation, input_length: int, n_classes: int, norm_enabled: bool, body
+) -> ModelSpec:
+    """Check the sizes, append the head's dense layer to ``body`` and build the spec."""
     if input_length < 1:
         raise ConfigError(f"input_length must be >= 1, got {input_length}")
     if n_classes < 2:
         raise ConfigError(f"n_classes must be >= 2, got {n_classes}")
-
-
-def _head(n_classes: int) -> tuple[str, int]:
-    if n_classes == 2:
-        return "sigmoid", 1
-    return "softmax", n_classes
+    head, units = ("sigmoid", 1) if n_classes == 2 else ("softmax", n_classes)
+    return ModelSpec(
+        architecture=architecture,
+        activation=zoo._as_kind(activation),
+        input_length=input_length,
+        n_classes=n_classes,
+        norm_enabled=norm_enabled,
+        head=head,
+        head_units=units,
+        layers=(*body, {"type": "dense", "units": units}),
+    )
 
 
 def build_mlp(input_length: int, n_classes: int, activation) -> ModelSpec:
     """Dropout(.1)+dense(500), dropout(.2)+dense(500), dropout(.3)+head."""
-    _check_sizes(input_length, n_classes)
-    head, units = _head(n_classes)
-    layers = (
+    body = [
         {"type": "dropout", "p": 0.1},
         {"type": "dense", "units": 500},
         {"type": "activation"},
@@ -96,44 +102,22 @@ def build_mlp(input_length: int, n_classes: int, activation) -> ModelSpec:
         {"type": "dense", "units": 500},
         {"type": "activation"},
         {"type": "dropout", "p": 0.3},
-        {"type": "dense", "units": units},
-    )
-    return ModelSpec(
-        architecture="mlp",
-        activation=zoo._as_kind(activation),
-        input_length=input_length,
-        n_classes=n_classes,
-        norm_enabled=False,
-        head=head,
-        head_units=units,
-        layers=layers,
-    )
+    ]
+    return _spec("mlp", activation, input_length, n_classes, False, body)
 
 
 def build_fcn(
     input_length: int, n_classes: int, activation, norm_enabled: bool = True
 ) -> ModelSpec:
     """Three conv blocks (128/256/128 channels, kernels 8/5/3) + GAP + head."""
-    _check_sizes(input_length, n_classes)
-    head, units = _head(n_classes)
-    layers: list[dict[str, Any]] = []
+    body: list[dict[str, Any]] = []
     for channels, kernel in ((128, 8), (256, 5), (128, 3)):
-        layers.append({"type": "conv", "channels": channels, "kernel": kernel})
+        body.append({"type": "conv", "channels": channels, "kernel": kernel})
         if norm_enabled:
-            layers.append({"type": "batch_norm"})
-        layers.append({"type": "activation"})
-    layers.append({"type": "global_avg_pool"})
-    layers.append({"type": "dense", "units": units})
-    return ModelSpec(
-        architecture="fcn",
-        activation=zoo._as_kind(activation),
-        input_length=input_length,
-        n_classes=n_classes,
-        norm_enabled=norm_enabled,
-        head=head,
-        head_units=units,
-        layers=tuple(layers),
-    )
+            body.append({"type": "batch_norm"})
+        body.append({"type": "activation"})
+    body.append({"type": "global_avg_pool"})
+    return _spec("fcn", activation, input_length, n_classes, norm_enabled, body)
 
 
 def init_params(spec: ModelSpec, seed: int) -> ModelState:

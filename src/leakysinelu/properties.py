@@ -68,7 +68,9 @@ def _open_grid(lo: float, hi: float, n: int) -> np.ndarray:
     return lo + (hi - lo) * (np.arange(n) + 1.0) / (n + 1.0)
 
 
-def check_semi_periodicity(kind, period: float, region: tuple[float, float], n: int = 1000) -> float:
+def check_semi_periodicity(
+    kind, period: float, region: tuple[float, float], n: int = 1000
+) -> float:
     """max |sigma'(x + T) - sigma'(x)| over an open grid inside one region."""
     if period <= 0:
         raise ConfigError(f"period must be positive, got {period}")
@@ -203,7 +205,8 @@ def fourier_fit_demo(
     def loss_tape():
         tape = ad.Tape()
         tensors = {k: ad.Tensor(v) for k, v in params.items()}
-        hidden = ad.activate(ad.affine(ad.Tensor(t), tensors["w1"], tensors["b1"], tape), sine, tape)
+        pre = ad.affine(ad.Tensor(t), tensors["w1"], tensors["b1"], tape)
+        hidden = ad.activate(pre, sine, tape)
         pred = ad.affine(hidden, tensors["w2"], tensors["b2"], tape)
         return ad.mse(pred, target, tape), tape, tensors
 

@@ -160,17 +160,11 @@ def holm_correct(pvals, alpha: float = 0.05) -> tuple[np.ndarray, np.ndarray]:
     adjusted_sorted = np.minimum(
         np.maximum.accumulate((m - np.arange(m)) * pvals[order]), 1.0
     )
-    reject_sorted = np.zeros(m, dtype=bool)
-    for i in range(m):
-        if adjusted_sorted[i] < alpha:
-            reject_sorted[i] = True
-        else:
-            break
     adjusted = np.empty(m)
-    reject = np.empty(m, dtype=bool)
     adjusted[order] = adjusted_sorted
-    reject[order] = reject_sorted
-    return adjusted, reject
+    # In sorted order the adjusted values never fall, so the ones below alpha
+    # are exactly the leading run that the step-down procedure rejects.
+    return adjusted, adjusted < alpha
 
 
 def pairwise_wtl(matrix: AccuracyMatrix) -> dict[tuple[str, str], tuple[int, int, int]]:
@@ -208,7 +202,9 @@ class ComparisonReport:
     conventions: dict
 
 
-def _interval_cliques(ordered: list[str], significant: dict[frozenset, bool]) -> list[tuple[str, ...]]:
+def _interval_cliques(
+    ordered: list[str], significant: dict[frozenset, bool]
+) -> list[tuple[str, ...]]:
     # Maximal intervals over the rank order whose internal pairs are all
     # non-significant; a method in no wider interval forms a singleton.
     k = len(ordered)
@@ -287,20 +283,32 @@ def matrix_from_records(records, architecture: str):
 
     Returns (matrix, missing) where ``missing`` lists (dataset, method)
     cells absent from the records; the matrix is None unless complete.
-    Only completed runs count; the first record wins on duplicates.
+    Only completed runs count; the first record wins on duplicates. DataError
+    if a record's config differs from an earlier one of its activation, or its
+    recipe (the config apart from the activation) from the first record's.
     """
     cells: dict[tuple[str, str], float] = {}
+    configs: dict[str, dict] = {}  # activation name -> the config its records share
     for rec in records:
         if rec.get("status") != "completed":
             continue
-        if rec["config"]["architecture"] != architecture:
+        config = rec["config"]
+        if config["architecture"] != architecture:
             continue
-        key = (rec["dataset"], rec["config"]["activation"]["name"])
-        cells.setdefault(key, float(rec["accuracy"]))
+        name = config["activation"]["name"]
+        first = next(iter(configs.values()), config)
+        if (configs.setdefault(name, config) != config
+                or {**first, "activation": None} != {**config, "activation": None}):
+            raise DataError(f"dataset {rec['dataset']!r}, activation {name!r}: its config "
+                            "differs from an earlier record's; compare one experiment at a time")
+        cells.setdefault((rec["dataset"], name), float(rec["accuracy"]))
     if not cells:
         raise DataError(f"no completed {architecture} results found")
     datasets = tuple(sorted({d for d, _ in cells}))
     methods = tuple(sorted({m for _, m in cells}, key=_method_order_key))
+    if len(datasets) < 2 or len(methods) < 2:
+        raise DataError(f"need at least 2 datasets and 2 activations to rank, found "
+                        f"{len(datasets)} dataset(s) and {len(methods)} activation(s)")
     missing = [(d, m) for d in datasets for m in methods if (d, m) not in cells]
     if missing:
         return None, missing
@@ -308,50 +316,42 @@ def matrix_from_records(records, architecture: str):
     return AccuracyMatrix(methods=methods, datasets=datasets, values=values), []
 
 
+def _write_csv(path: Path, header: list[str], rows) -> str:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return str(path)
+
+
 def write_report_files(report: ComparisonReport, matrix: AccuracyMatrix, outdir) -> list[str]:
     """Emit report.json, cd.csv, mcm.csv and one scatter CSV per pair."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    written = []
-
-    doc = asdict(report)
-    doc["pairs"] = [asdict(p) for p in report.pairs]
-    doc["cliques"] = [list(c) for c in report.cliques]
-    doc["methods"] = list(report.methods)
     path = outdir / "report.json"
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    written.append(str(path))
+    path.write_text(json.dumps(asdict(report), indent=2, sort_keys=True) + "\n")
+    written = [str(path)]
 
     clique_ids = {}
     for cid, clique in enumerate(report.cliques):
         for m in clique:
             clique_ids.setdefault(m, []).append(cid)
-    path = outdir / "cd.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "avg_rank", "clique_id"])
-        for m in report.methods:
-            for cid in clique_ids[m]:
-                writer.writerow([m, repr(report.avg_ranks[m]), cid])
-    written.append(str(path))
-
-    path = outdir / "mcm.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method_a", "method_b", "mean_diff", "p", "win", "tie", "loss"])
-        for c in report.pairs:
-            writer.writerow(
-                [c.method_a, c.method_b, repr(c.mean_diff), repr(c.p_raw), c.win, c.tie, c.loss]
-            )
-    written.append(str(path))
-
+    written.append(_write_csv(
+        outdir / "cd.csv",
+        ["method", "avg_rank", "clique_id"],
+        ([m, repr(report.avg_ranks[m]), cid] for m in report.methods for cid in clique_ids[m]),
+    ))
+    written.append(_write_csv(
+        outdir / "mcm.csv",
+        ["method_a", "method_b", "mean_diff", "p", "win", "tie", "loss"],
+        ([c.method_a, c.method_b, repr(c.mean_diff), repr(c.p_raw), c.win, c.tie, c.loss]
+         for c in report.pairs),
+    ))
     for a, b in itertools.combinations(matrix.methods, 2):
-        path = outdir / f"scatter_{a}_vs_{b}.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["dataset", f"acc_{a}", f"acc_{b}"])
-            ca, cb = matrix.column(a), matrix.column(b)
-            for d, va, vb in zip(matrix.datasets, ca, cb):
-                writer.writerow([d, repr(float(va)), repr(float(vb))])
-        written.append(str(path))
+        written.append(_write_csv(
+            outdir / f"scatter_{a}_vs_{b}.csv",
+            ["dataset", f"acc_{a}", f"acc_{b}"],
+            ([d, repr(float(va)), repr(float(vb))]
+             for d, va, vb in zip(matrix.datasets, matrix.column(a), matrix.column(b))),
+        ))
     return written

@@ -40,7 +40,7 @@ class TestTrainConfig:
         assert TrainConfig.from_dict(cfg.to_dict()) == cfg
 
     @pytest.mark.parametrize("field, value", [
-        ("architecture", "resnet"), ("optimizer", "sgd"),
+        ("architecture", "resnet"), ("optimizer", "sgd"), ("znorm", "minmax"),
     ])
     def test_unknown_recipe_name_rejected(self, field, value):
         doc = TrainConfig.for_architecture("mlp", "relu").to_dict()

@@ -113,13 +113,14 @@ class TestTrain:
         ])
         assert code == 3
 
-    def test_no_data_root_exits_3(self, tmp_path, monkeypatch):
+    def test_no_data_root_exits_3(self, tmp_path, monkeypatch, capsys):
         monkeypatch.delenv("UCR_DATA_ROOT", raising=False)
         code = run([
             "train", "--arch", "mlp", "--activation", "relu", "--dataset", "S1",
             "--out", str(tmp_path / "out"),
         ])
         assert code == 3
+        assert "pass --data-root or set UCR_DATA_ROOT" in capsys.readouterr().err
 
     def test_env_var_data_root(self, tmp_path, monkeypatch):
         root = make_ucr_root(tmp_path / "ucr", ["S1"], n_train=8, n_test=8, length=12)
@@ -157,6 +158,23 @@ class TestBench:
             "--epochs", "1", "--out", str(tmp_path / "out"),
         ])
         assert code == 0
+
+    @pytest.mark.parametrize("activations, datasets", [
+        ("relu,relu", "S1"), ("relu", "S1,S1"), ("relu, relu,", "@list"),
+    ])
+    def test_repeated_names_share_the_invocation(self, tmp_path, capsys, activations, datasets):
+        root = make_ucr_root(tmp_path / "ucr", ["S1"], n_train=8, n_test=8, length=12)
+        listing = tmp_path / "list"
+        listing.write_text("S1\n\nS1\n")
+        base = ["bench", "--arch", "mlp", "--data-root", str(root), "--epochs", "1",
+                "--out", str(tmp_path / "out")]
+        assert run(base + ["--activations", "relu", "--datasets", "S1"]) == 0
+        assert "0 cached, 1 trained" in capsys.readouterr().out
+        datasets = f"@{listing}" if datasets == "@list" else datasets
+        assert run(base + ["--activations", activations, "--datasets", datasets]) == 0
+        assert "1 cached, 0 trained" in capsys.readouterr().out
+        (outdir,) = (tmp_path / "out").glob("bench-*")
+        assert len(read_jsonl(outdir / "results.jsonl")) == 1
 
     def test_unknown_activation_exits_2(self, tmp_path):
         code = run([
@@ -240,6 +258,32 @@ class TestCompare:
         code = run(["compare", "--results", str(results), "--arch", "mlp",
                     "--alpha", alpha, "--out", str(tmp_path / "cmp")])
         assert code == 2
+        assert not list((tmp_path / "cmp").glob("compare-*"))
+
+    def test_two_configs_for_one_cell_exit_3_without_output(self, tmp_path, capsys):
+        results = self._bench(tmp_path)
+        lines = results.read_text().splitlines()
+        record = json.loads(lines[0])
+        record["config"]["epochs"] = 3
+        mixed = tmp_path / "mixed.jsonl"
+        mixed.write_text("\n".join(lines + [json.dumps(record)]) + "\n")
+        code = run(["compare", "--results", str(mixed), "--arch", "mlp",
+                    "--out", str(tmp_path / "cmp")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert repr(record["dataset"]) in err
+        assert repr(record["config"]["activation"]["name"]) in err
+        assert not list((tmp_path / "cmp").glob("compare-*"))
+
+    def test_one_dataset_exits_3_without_output(self, tmp_path, capsys):
+        results = self._bench(tmp_path)
+        kept = [l for l in results.read_text().splitlines() if '"S2"' not in l]
+        trimmed = tmp_path / "trimmed.jsonl"
+        trimmed.write_text("\n".join(kept) + "\n")
+        code = run(["compare", "--results", str(trimmed), "--arch", "mlp",
+                    "--out", str(tmp_path / "cmp")])
+        assert code == 3
+        assert "found 1 dataset(s) and 3 activation(s)" in capsys.readouterr().err
         assert not list((tmp_path / "cmp").glob("compare-*"))
 
     def test_missing_results_file_exits_3(self, tmp_path):
@@ -378,22 +422,10 @@ class TestBoundaryValidation:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["train", "bench"])
-    @pytest.mark.parametrize("content", ["[1, 2]", '"root"', '{"data_root": 5}'])
-    def test_malformed_config_file_exits_3(self, tmp_path, capsys, command, content):
-        path = tmp_path / "config.json"
-        path.write_text(content)
-        code = run(self._argv(tmp_path, command) + ["--config", str(path)])
-        assert code == 3
-        assert str(path) in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("command", ["train", "bench"])
-    def test_unknown_config_key_exits_3_naming_it(self, tmp_path, capsys, command):
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps({"data_root": str(tmp_path / "ucr"), "seed": 5}))
-        code = run(self._argv(tmp_path, command) + ["--config", str(path)])
-        assert code == 3
-        assert "'seed'" in capsys.readouterr().err
+    def test_config_flag_is_a_usage_error(self, tmp_path, command):
+        with pytest.raises(SystemExit) as exc:
+            run(self._argv(tmp_path, command) + ["--config", str(tmp_path / "c.json")])
+        assert exc.value.code == 2
         assert not (tmp_path / "out").exists()
 
     def test_train_missing_dataset_exits_3_writing_nothing(self, tmp_path):
@@ -401,15 +433,6 @@ class TestBoundaryValidation:
         argv[argv.index("S1")] = "NOPE"
         assert run(argv) == 3
         assert not list((tmp_path / "out").glob("train-*"))
-
-    def test_config_file_data_root_is_used(self, tmp_path, monkeypatch):
-        root = make_ucr_root(tmp_path / "ucr", ["S1"], n_train=8, n_test=8, length=12)
-        monkeypatch.delenv("UCR_DATA_ROOT", raising=False)
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps({"data_root": str(root)}))
-        code = run(["train", "--arch", "mlp", "--activation", "relu", "--dataset", "S1",
-                    "--epochs", "1", "--config", str(path), "--out", str(tmp_path / "out")])
-        assert code == 0
 
 
 class TestSharedFlags:
@@ -421,10 +444,10 @@ class TestSharedFlags:
         from leakysinelu.cli import build_parser
 
         args = build_parser().parse_args([
-            command, *own, "--arch", "fcn", "--data-root", "r", "--config", "c",
+            command, *own, "--arch", "fcn", "--data-root", "r",
             "--epochs", "3", "--seed", "4", "--batch-size", "5", "--no-norm-layers",
             "--no-znorm", "--out", "o",
         ])
-        assert (args.arch, args.data_root, args.config_file, args.epochs, args.seed,
+        assert (args.arch, args.data_root, args.epochs, args.seed,
                 args.batch_size, args.no_norm_layers, args.no_znorm, args.out) == (
-                    "fcn", "r", "c", 3, 4, 5, True, True, "o")
+                    "fcn", "r", 3, 4, 5, True, True, "o")

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 from scipy.stats import rankdata
 
-from leakysinelu.errors import ConfigError, ContractError
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from leakysinelu.errors import ConfigError, ContractError, DataError
 from leakysinelu.stats import (
     AccuracyMatrix,
     average_ranks,
@@ -201,6 +204,44 @@ class TestHolm:
         assert adjusted[1] == pytest.approx(0.2)
 
 
+def holm_loop(pvals, alpha=0.05):
+    """Oracle: the step-down loop that holm_correct replaced, verbatim."""
+    pvals = np.asarray(pvals, dtype=np.float64)
+    m = pvals.size
+    order = np.argsort(pvals, kind="stable")
+    adjusted_sorted = np.minimum(
+        np.maximum.accumulate((m - np.arange(m)) * pvals[order]), 1.0
+    )
+    reject_sorted = np.zeros(m, dtype=bool)
+    for i in range(m):
+        if adjusted_sorted[i] < alpha:
+            reject_sorted[i] = True
+        else:
+            break
+    adjusted = np.empty(m)
+    reject = np.empty(m, dtype=bool)
+    adjusted[order] = adjusted_sorted
+    reject[order] = reject_sorted
+    return adjusted, reject
+
+
+# p-values drawn from a few values so ties, 0, 1 and m * p == alpha all occur.
+_P = st.one_of(st.sampled_from([0.0, 1.0, 0.05, 0.025, 0.0125, 0.01, 0.05 / 3]),
+               st.floats(0.0, 1.0))
+
+
+class TestHolmMatchesStepDownLoop:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_P, min_size=1, max_size=12), st.sampled_from([0.05, 0.01, 0.5]))
+    @example([0.025, 0.025], 0.05)  # m * p == alpha: not rejected
+    @example([0.0, 1.0, 0.0, 0.0125, 0.05 / 3], 0.05)
+    def test_equals_loop(self, pvals, alpha):
+        adjusted, reject = holm_correct(pvals, alpha)
+        want_adjusted, want_reject = holm_loop(pvals, alpha)
+        assert adjusted.tobytes() == want_adjusted.tobytes()
+        assert reject.tolist() == want_reject.tolist()
+
+
 class TestWtl:
     def test_counts(self):
         m = AccuracyMatrix(
@@ -279,13 +320,19 @@ class TestBuildReport:
 
 
 class TestMatrixFromRecords:
-    def _record(self, dataset, method, acc, arch="mlp", status="completed"):
+    def _record(self, dataset, method, acc, arch="mlp", status="completed", epochs=1):
         return {
             "dataset": dataset,
             "status": status,
             "accuracy": acc,
-            "config": {"architecture": arch, "activation": {"name": method}},
+            "config": {"architecture": arch, "activation": {"name": method}, "epochs": epochs},
         }
+
+    def _grid(self, **kwargs):
+        return [
+            self._record(d, m, 0.5 + 0.01 * i, **kwargs)
+            for i, (d, m) in enumerate(itertools.product(["d1", "d2"], ["relu", "sine"]))
+        ]
 
     def test_complete(self):
         records = [
@@ -315,3 +362,32 @@ class TestMatrixFromRecords:
         ]
         matrix, missing = matrix_from_records(records, "mlp")
         assert matrix is None and missing == [("d1", "sine")]
+
+    def test_identical_config_duplicates_pass_first_wins(self):
+        records = self._grid() + [self._record("d1", "relu", 0.99)]
+        matrix, missing = matrix_from_records(records, "mlp")
+        assert missing == [] and matrix.values[0, 1] == 0.5
+
+    @pytest.mark.parametrize("case, cell", [
+        ("two configs for one cell", "'d1', activation 'relu'"),
+        ("one cell from another recipe", "'d1', activation 'sine'"),
+        ("activation settings differ by dataset", "'d2', activation 'relu'"),
+    ])
+    def test_records_from_two_experiments_rejected(self, case, cell):
+        if case == "two configs for one cell":
+            records = self._grid(epochs=0) + self._grid(epochs=3)
+        elif case == "one cell from another recipe":
+            records = [self._record("d1", "relu", 0.5, epochs=0)] + self._grid(epochs=3)[1:]
+        else:
+            records = self._grid()
+            records[2]["config"]["activation"]["alpha"] = 0.5  # d2 x relu
+        with pytest.raises(DataError, match=f"dataset {cell}"):
+            matrix_from_records(records, "mlp")
+
+    @pytest.mark.parametrize("datasets, methods", [(["d1"], ["relu", "sine"]),
+                                                   (["d1", "d2"], ["relu"])])
+    def test_too_few_datasets_or_methods_rejected(self, datasets, methods):
+        records = [self._record(d, m, 0.5) for d in datasets for m in methods]
+        with pytest.raises(DataError, match=f"found {len(datasets)} dataset\\(s\\) "
+                                            f"and {len(methods)} activation\\(s\\)"):
+            matrix_from_records(records, "mlp")
