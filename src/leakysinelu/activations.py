@@ -224,7 +224,7 @@ def activation(name: str, *, learnable=None, **params: float) -> ActivationKind:
     entry = _REGISTRY.get(name)
     if entry is None:
         raise ConfigError(
-            f"unknown activation {name!r}; choose one of {', '.join(_REGISTRY)}"
+            f"unknown activation {name!r}; choose from {', '.join(_REGISTRY)}"
         )
     unknown = set(params) - set(entry.defaults)
     if unknown:

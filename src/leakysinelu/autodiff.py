@@ -178,14 +178,13 @@ def batch_norm1d(
     running_var: np.ndarray,
     training: bool,
     tape: Tape | None = None,
-    update_running: bool = True,
 ) -> Tensor:
     """Per-channel standardization of (B,C,L) with learnable scale/shift.
 
     Training mode standardizes with batch statistics over the (B,L) axes
-    (population variance) and optionally folds them into the running
-    estimates with momentum ``BN_MOMENTUM``; inference mode uses the running
-    estimates. ``BN_EPS`` is added to the variance.
+    (population variance) and folds them into the running estimates with
+    momentum ``BN_MOMENTUM``; inference mode uses the running estimates.
+    ``BN_EPS`` is added to the variance.
     """
     if x.data.ndim != 3:
         raise ShapeError("batch_norm1d expects (B,C,L)")
@@ -204,11 +203,10 @@ def batch_norm1d(
     out_data = np.empty_like(xhat)
     if training:
         var = np.multiply(xhat, xhat, out=out_data).sum(axis=(0, 2)) / n
-        if update_running:
-            running_mean *= 1.0 - BN_MOMENTUM
-            running_mean += BN_MOMENTUM * mean
-            running_var *= 1.0 - BN_MOMENTUM
-            running_var += BN_MOMENTUM * var
+        running_mean *= 1.0 - BN_MOMENTUM
+        running_mean += BN_MOMENTUM * mean
+        running_var *= 1.0 - BN_MOMENTUM
+        running_var += BN_MOMENTUM * var
     else:
         var = running_var
     inv = (1.0 / np.sqrt(var + BN_EPS))[None, :, None]

@@ -54,6 +54,7 @@ __all__ = [
 
 SCHEMA_VERSION = 2
 _SETTLED = ("completed", "diverged")  # statuses a rerun cannot change
+EVAL_BATCH = 256  # test series per inference forward; bounds evaluation memory
 
 ARCH_DEFAULTS = {
     "mlp": {"optimizer": "adadelta", "learning_rate": 1.0, "epochs": 1000, "norm_enabled": False},
@@ -94,6 +95,8 @@ class TrainConfig:
         for name, least in (("epochs", 0), ("batch_size", 1), ("seed", 0)):
             if getattr(self, name) < least:
                 raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
+        if self.architecture == "mlp" and self.norm_enabled:
+            raise ConfigError("norm_enabled must be False for mlp: it has no normalization layer")
 
     @staticmethod
     def for_architecture(architecture: str, activation, **overrides) -> "TrainConfig":
@@ -177,11 +180,6 @@ def _loss(spec: ModelSpec, logits, labels, tape: Tape | None = None):
     return loss_fn(logits, labels, tape)
 
 
-def _batches(n: int, batch_size: int, perm: np.ndarray):
-    for start in range(0, n, batch_size):
-        yield perm[start : start + batch_size]
-
-
 def train(
     spec: ModelSpec, dataset: Dataset, config: TrainConfig
 ) -> tuple[ModelState, list[float], object]:
@@ -201,7 +199,8 @@ def train(
         rng = np.random.default_rng((config.seed, epoch))
         perm = rng.permutation(n)
         epoch_loss = 0.0
-        for idx in _batches(n, config.batch_size, perm):
+        for start in range(0, n, config.batch_size):
+            idx = perm[start : start + config.batch_size]
             x = dataset.series[idx]
             y = dataset.labels[idx]
             tape = Tape()
@@ -225,13 +224,13 @@ def train(
     return state, history, opt_state
 
 
-def evaluate(state: ModelState, spec: ModelSpec, dataset: Dataset, batch_size: int = 256) -> float:
+def evaluate(state: ModelState, spec: ModelSpec, dataset: Dataset) -> float:
     """Test accuracy: argmax head with lowest-index ties, or logit > 0 for
     the sigmoid head; dropout off, batch norm in inference mode."""
     correct = 0
-    for start in range(0, len(dataset), batch_size):
-        x = dataset.series[start : start + batch_size]
-        y = dataset.labels[start : start + batch_size]
+    for start in range(0, len(dataset), EVAL_BATCH):
+        x = dataset.series[start : start + EVAL_BATCH]
+        y = dataset.labels[start : start + EVAL_BATCH]
         correct += int((predict(spec, state, x) == y).sum())
     return correct / len(dataset)
 
@@ -270,10 +269,31 @@ def run_cell(payload: dict) -> dict:
         result.diverged_epoch = exc.epoch
         result.error = str(exc)
     except Exception as exc:  # noqa: BLE001 - a sweep never aborts on one cell
-        result.status = "failed"
         result.error = f"{type(exc).__name__}: {exc}"
     result.seconds = time.perf_counter() - started
     return result.to_record()
+
+
+def _not_a_record(doc) -> str | None:
+    """Why a results line is not a result record, else None. Only the fields
+    the sweep and ``compare`` read are checked, so older config schemas load."""
+    if not isinstance(doc, dict):
+        return "not a JSON object"
+    for key in ("dataset", "config_hash"):
+        if not isinstance(doc.get(key), str):
+            return f"no string {key!r}"
+    config = doc.get("config")
+    if not isinstance(config, dict) or not isinstance(config.get("architecture"), str):
+        return "no 'config' object with a string 'architecture'"
+    act = config.get("activation")
+    if not isinstance(act, dict) or not isinstance(act.get("name"), str):
+        return "no 'config.activation' object with a string 'name'"
+    if doc.get("status") not in (*_SETTLED, "failed"):
+        return f"status {doc.get('status')!r} is not completed, diverged or failed"
+    acc = doc.get("accuracy")
+    if doc["status"] == "completed" and (type(acc) not in (int, float) or not np.isfinite(acc)):
+        return f"completed record with accuracy {acc!r}, not a finite number"
+    return None
 
 
 class ResultsStore:
@@ -281,7 +301,8 @@ class ResultsStore:
 
     A record counts once its line ends in a newline. An unterminated last
     line is the torn tail of an interrupted append: ``load`` ignores it, so
-    that cell runs again, and ``append`` cuts it off before writing.
+    that cell runs again, and ``append`` cuts it off before writing. Any
+    other line that is not a result record is a DataError naming path:line.
     """
 
     def __init__(self, path):
@@ -298,9 +319,13 @@ class ResultsStore:
                 if not line.strip():
                     continue
                 try:
-                    records.append(json.loads(line))
+                    record = json.loads(line)
                 except ValueError as exc:
                     raise DataError(f"{self.path}:{lineno}: malformed record: {exc}") from exc
+                why = _not_a_record(record)
+                if why:
+                    raise DataError(f"{self.path}:{lineno}: not a result record: {why}")
+                records.append(record)
         return records
 
     def append(self, record: dict) -> None:
@@ -355,17 +380,8 @@ def run_sweep(
         for act in activation_names
     ]
     cells = list({c["config_hash"]: c for c in cells}.values())  # a repeated cell runs once
-    # Per cell: the newest settled (completed or diverged) record, else the newest.
-    latest: dict[str, dict] = {}
-
-    def note(record: dict) -> None:
-        kept = latest.get(record["config_hash"])
-        if record["status"] in _SETTLED or kept is None or kept["status"] not in _SETTLED:
-            latest[record["config_hash"]] = record
-
-    for record in store.load():
-        note(record)
-    settled = {h for h, r in latest.items() if r["status"] in _SETTLED}
+    # A cell's record: its newest settled one, else the fresh record of the run below.
+    settled = {r["config_hash"]: r for r in store.load() if r["status"] in _SETTLED}
     pending = [c for c in cells if c["config_hash"] not in settled]
     outcome = SweepOutcome(records=[], n_cached=len(cells) - len(pending))
     fresh: dict[str, dict] = {}
@@ -373,7 +389,6 @@ def run_sweep(
     def keep(record: dict) -> None:
         store.append(record)
         fresh[record["config_hash"]] = record
-        note(record)
 
     if pending and jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -392,5 +407,6 @@ def run_sweep(
             keep(run_cell(payload))
     outcome.n_trained = sum(1 for r in fresh.values() if r["status"] == "completed")
     outcome.n_failed = sum(1 for r in fresh.values() if r["status"] != "completed")
-    outcome.records = [latest[c["config_hash"]] for c in cells if c["config_hash"] in latest]
+    newest = {**settled, **fresh}
+    outcome.records = [newest[c["config_hash"]] for c in cells]
     return outcome

@@ -6,8 +6,9 @@ applied to a series). Every invocation writes a manifest.json with the
 fully resolved configuration into an output directory named by the hash of
 the result-affecting settings.
 
-Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric divergence,
-5 incomplete results matrix.
+Exit codes: 0 success; 1 a failed ``train`` cell, an ``analyze`` catalog
+mismatch or another package error; 2 usage error; 3 data error; 4 numeric
+divergence; 5 incomplete results matrix.
 """
 
 from __future__ import annotations
@@ -74,11 +75,6 @@ def _parse_activations(value: str) -> list[str]:
     if value == "all":
         return list(zoo.ACTIVATION_NAMES)
     names = _unique(v.strip() for v in value.split(","))
-    for name in names:
-        if name not in zoo.ACTIVATION_NAMES:
-            raise ConfigError(
-                f"unknown activation {name!r}; choose from {', '.join(zoo.ACTIVATION_NAMES)}"
-            )
     if not names:
         raise ConfigError("empty activation list")
     return names
@@ -176,13 +172,13 @@ def cmd_bench(args) -> int:
     root = _resolve_root(args)
     activations = _parse_activations(args.activations)
     datasets = _parse_datasets(args.datasets)
-    for name in datasets:
-        load_dataset_pair(root, name)  # fail fast on missing/malformed data
     overrides = _overrides(args)
-    config_docs = {
+    config_docs = {  # checks each activation name and setting before any data is read
         name: TrainConfig.for_architecture(args.arch, name, **overrides).to_dict()
         for name in activations
     }
+    for name in datasets:
+        load_dataset_pair(root, name)  # fail fast on missing/malformed data
     resolved = {
         "architecture": args.arch,
         "activations": activations,

@@ -10,7 +10,7 @@ dataset root is the ``--data-root`` flag value, else ``$UCR_DATA_ROOT``.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -170,13 +170,7 @@ def znormalize(dataset: Dataset, mode: str = "per_series") -> Dataset:
     mean = x.mean(axis=1, keepdims=True)
     std = x.std(axis=1, keepdims=True)
     out = np.where(std < 1e-8, 0.0, (x - mean) / np.where(std < 1e-8, 1.0, std))
-    return Dataset(
-        name=dataset.name,
-        series=out,
-        labels=dataset.labels,
-        label_map=dataset.label_map,
-        split=dataset.split,
-    )
+    return replace(dataset, series=out)
 
 
 def save_ucr_split(dataset: Dataset, path) -> None:

@@ -170,7 +170,6 @@ def forward(
     tape: ad.Tape | None = None,
     training: bool = False,
     rng: np.random.Generator | None = None,
-    update_running: bool = True,
     param_tensors: dict[str, ad.Tensor] | None = None,
 ) -> ad.Tensor:
     """Run the layer sequence on a batch, returning the head logits (B, H).
@@ -208,7 +207,6 @@ def forward(
                 state.buffers[f"l{i}.running_var"],
                 training,
                 tape,
-                update_running=update_running,
             )
         elif kind == "global_avg_pool":
             cur = ad.global_avg_pool(cur, tape)
@@ -230,7 +228,7 @@ def predict(spec: ModelSpec, state: ModelState, x: np.ndarray) -> np.ndarray:
     return (logits.reshape(-1) > 0.0).astype(np.int64)
 
 
-def save_checkpoint(path, spec: ModelSpec, state: ModelState, opt_state=None) -> None:
+def save_checkpoint(path, spec: ModelSpec, state: ModelState, opt_state) -> None:
     """Write spec, parameters, buffers and optimizer slots to one .npz file."""
     arrays: dict[str, np.ndarray] = {}
     for name, arr in state.params.items():
@@ -241,12 +239,11 @@ def save_checkpoint(path, spec: ModelSpec, state: ModelState, opt_state=None) ->
         "format": CHECKPOINT_FORMAT,
         "spec": json.loads(spec.to_json()),
         "seed": state.seed,
+        "optimizer": {"hyper": opt_state.hyper, "step_count": opt_state.step_count},
     }
-    if opt_state is not None:
-        meta["optimizer"] = {"hyper": opt_state.hyper, "step_count": opt_state.step_count}
-        for name, slots in opt_state.slots.items():
-            for slot, arr in slots.items():
-                arrays[f"opt/{name}/{slot}"] = arr
+    for name, slots in opt_state.slots.items():
+        for slot, arr in slots.items():
+            arrays[f"opt/{name}/{slot}"] = arr
     arrays["meta"] = np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8)
     np.savez(path, **arrays)
 

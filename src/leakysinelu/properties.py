@@ -36,6 +36,8 @@ __all__ = [
 CONVERGENCE_TOL = 1e-9
 MONOTONE_TOL = 1e-12
 DEAD_TOL = 1e-12
+LIMIT_MAGNITUDES = (1e3, 1e6, 1e9)  # |x| at which each tail is probed
+PROBE_GRID = np.linspace(-20.0, 20.0, 10_000)  # monotonicity and value-range samples
 
 
 @dataclass(frozen=True)
@@ -47,8 +49,8 @@ class TailEstimate:
     value: float | None
 
 
-def _tail(kind: zoo.ActivationKind, sign: float, magnitudes) -> TailEstimate:
-    values = [zoo.evaluate(kind, sign * m) for m in magnitudes]
+def _tail(kind: zoo.ActivationKind, sign: float) -> TailEstimate:
+    values = [zoo.evaluate(kind, sign * m) for m in LIMIT_MAGNITUDES]
     deltas = [abs(b - a) for a, b in zip(values, values[1:])]
     if all(d < CONVERGENCE_TOL for d in deltas):
         return TailEstimate("constant", values[-1])
@@ -57,13 +59,13 @@ def _tail(kind: zoo.ActivationKind, sign: float, magnitudes) -> TailEstimate:
     return TailEstimate("oscillates", None)
 
 
-def check_limits(kind, magnitudes=(1e3, 1e6, 1e9)) -> tuple[TailEstimate, TailEstimate]:
-    """Probe both tails at increasing magnitudes and classify each one."""
+def check_limits(kind) -> tuple[TailEstimate, TailEstimate]:
+    """Probe both tails at ``LIMIT_MAGNITUDES`` and classify each one."""
     kind = zoo._as_kind(kind)
-    return _tail(kind, -1.0, magnitudes), _tail(kind, 1.0, magnitudes)
+    return _tail(kind, -1.0), _tail(kind, 1.0)
 
 
-def _open_grid(lo: float, hi: float, n: int) -> np.ndarray:
+def _interior_grid(lo: float, hi: float, n: int) -> np.ndarray:
     # n points strictly inside (lo, hi), so branch boundaries are never hit.
     return lo + (hi - lo) * (np.arange(n) + 1.0) / (n + 1.0)
 
@@ -77,7 +79,7 @@ def check_semi_periodicity(
     if n < 1000:
         raise ConfigError("semi-periodicity grid needs at least 1000 points")
     kind = zoo._as_kind(kind)
-    grid = _open_grid(region[0], region[1], n)
+    grid = _interior_grid(region[0], region[1], n)
     dev = np.abs(zoo.array_derivative(kind, grid + period) - zoo.array_derivative(kind, grid))
     return float(dev.max())
 
@@ -96,19 +98,18 @@ def semi_periodic_regions(kind) -> tuple[tuple[float, float], ...]:
     return (pieces[-1], *((lo, hi - period) for lo, hi in reversed(pieces[:-1])))
 
 
-def check_monotone(kind, lo: float = -20.0, hi: float = 20.0, n: int = 10_000):
-    """Sample the derivative on a grid; monotone iff min >= -1e-12.
+def check_monotone(kind):
+    """Sample the derivative on ``PROBE_GRID``; monotone iff min >= -1e-12.
 
     Returns (monotone, witness) where witness is (x, sigma'(x)) at the most
     negative derivative when the verdict is False.
     """
     kind = zoo._as_kind(kind)
-    grid = np.linspace(lo, hi, n)
-    deriv = zoo.array_derivative(kind, grid)
+    deriv = zoo.array_derivative(kind, PROBE_GRID)
     idx = int(np.argmin(deriv))
     if deriv[idx] >= -MONOTONE_TOL:
         return True, None
-    return False, (float(grid[idx]), float(deriv[idx]))
+    return False, (float(PROBE_GRID[idx]), float(deriv[idx]))
 
 
 def affine_collapse(layers) -> tuple[np.ndarray, np.ndarray]:
@@ -166,23 +167,17 @@ def fourier_series(series: FourierSeries, period: float, t: np.ndarray) -> np.nd
     return out
 
 
-def fourier_fit_demo(
-    series: FourierSeries,
-    period: float,
-    steps: int = 5000,
-    lr: float = 0.01,
-    n_grid: int = 256,
-) -> float:
+def fourier_fit_demo(series: FourierSeries, period: float) -> float:
     """Fit one hidden layer of sine units to the truncated series on [0, 2T].
 
     The hidden pre-activation is a learnable affine map of t (frequencies in
     the weights, phases in the biases), initialized at the harmonic
     frequencies; the output layer starts at zero. Returns the mean squared
-    error after the fixed optimization budget.
+    error after 5000 Adam steps (lr 0.01) on 256 evenly spaced points.
     """
     n_terms = max(len(series.an), 1)
     width = 2 * n_terms
-    t = np.linspace(0.0, 2.0 * period, n_grid).reshape(-1, 1)
+    t = np.linspace(0.0, 2.0 * period, 256).reshape(-1, 1)
     target = fourier_series(series, period, t[:, 0]).reshape(-1, 1)
 
     w1 = np.zeros((1, width))
@@ -199,7 +194,7 @@ def fourier_fit_demo(
         "b2": np.zeros(1),
     }
     sine = zoo.activation("sine")
-    opt = Adam(lr=lr)
+    opt = Adam(lr=0.01)
     opt_state = opt.init_state(params)
 
     def loss_tape():
@@ -210,7 +205,7 @@ def fourier_fit_demo(
         pred = ad.affine(hidden, tensors["w2"], tensors["b2"], tape)
         return ad.mse(pred, target, tape), tape, tensors
 
-    for _ in range(steps):
+    for _ in range(5000):
         loss, tape, tensors = loss_tape()
         tape.backward(loss)
         grads = {k: tensors[k].grad for k in params}
@@ -264,8 +259,7 @@ def property_report(kind) -> PropertyReport:
     record = zoo.catalog(kind)
     neg, pos = check_limits(kind)
     monotone, witness = check_monotone(kind)
-    grid = np.linspace(-20.0, 20.0, 10_000)
-    values = zoo.array_value(kind, grid)
+    values = zoo.array_value(kind, PROBE_GRID)
     period = record.semi_periodic_period
     max_dev = None
     if period is not None:

@@ -62,12 +62,13 @@ def ucr_root(tmp_path):
 
 def model_loss(spec, state, x, y, dropout_seed=3):
     """Training-mode loss as a pure function of the parameters: the dropout
-    rng is re-seeded per call and running stats are left untouched."""
+    rng is re-seeded per call, and training-mode batch norm never reads the
+    running stats it updates."""
     from leakysinelu.autodiff import sigmoid_bce, softmax_xent
     from leakysinelu.models import forward
 
     rng = np.random.default_rng(dropout_seed)
-    logits = forward(spec, state, x, training=True, rng=rng, update_running=False)
+    logits = forward(spec, state, x, training=True, rng=rng)
     if spec.head == "sigmoid":
         return float(sigmoid_bce(logits, y).data)
     return float(softmax_xent(logits, y).data)
@@ -93,7 +94,7 @@ def model_gradcheck(spec, seed=0, coords_per_tensor=4, h=1e-4):
     tensors = wrap_params(state)
     logits = forward(
         spec, state, x, tape=tape, training=True,
-        rng=np.random.default_rng(3), update_running=False, param_tensors=tensors,
+        rng=np.random.default_rng(3), param_tensors=tensors,
     )
     loss = sigmoid_bce(logits, y, tape) if spec.head == "sigmoid" else softmax_xent(logits, y, tape)
     tape.backward(loss)

@@ -159,6 +159,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             zoo.activation("swish")
 
+    def test_unknown_name_lists_the_choices(self):
+        # The wording every "unknown <name>" error of the package shares.
+        with pytest.raises(ConfigError, match="unknown activation 'swish'; choose from sigmoid, "):
+            zoo.activation("swish")
+
     def test_elu_alpha_must_be_positive(self):
         with pytest.raises(ConfigError):
             zoo.activation("elu", alpha=-1.0)

@@ -113,9 +113,9 @@ class TestPooling:
 
 
 class TestBatchNorm:
-    def _bn(self, x, gamma, beta, training=True, tape=None, update=False):
+    def _bn(self, x, gamma, beta, training=True, tape=None):
         rm, rv = np.zeros(x.data.shape[1]), np.ones(x.data.shape[1])
-        return ad.batch_norm1d(x, gamma, beta, rm, rv, training, tape, update_running=update)
+        return ad.batch_norm1d(x, gamma, beta, rm, rv, training, tape)
 
     def test_already_standardized(self):
         x = ad.Tensor(np.array([[[-1.0, 1.0, -1.0, 1.0]]]))

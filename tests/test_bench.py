@@ -48,6 +48,12 @@ class TestTrainConfig:
         with pytest.raises(ConfigError, match=f"unknown {field} '{value}'"):
             TrainConfig.from_dict(doc)
 
+    def test_norm_layers_rejected_for_mlp(self):
+        # The MLP has no normalization layer, so the flag would only change the hash.
+        with pytest.raises(ConfigError, match="norm_enabled must be False for mlp"):
+            TrainConfig.for_architecture("mlp", "relu", norm_enabled=True)
+        assert not TrainConfig.for_architecture("fcn", "relu", norm_enabled=False).norm_enabled
+
     def test_hash_changes_with_config(self):
         a = TrainConfig.for_architecture("mlp", "relu")
         b = TrainConfig.for_architecture("mlp", "relu", seed=1)
@@ -256,9 +262,13 @@ class TestRunResult:
         assert record["final_train_loss"] is not None
 
 
+_CONFIG = {"architecture": "mlp", "activation": {"name": "relu"}}
+
+
 class TestResultsStore:
     def _records(self):
-        return [{"config_hash": f"h{i}", "status": "completed", "accuracy": i / 4}
+        return [{"dataset": "S1", "config": _CONFIG, "config_hash": f"h{i}",
+                 "status": "completed", "accuracy": i / 4}
                 for i in range(3)]
 
     def test_torn_store_at_every_byte_offset(self, tmp_path):
@@ -267,7 +277,8 @@ class TestResultsStore:
         for record in records:
             store.append(record)
         full = store.path.read_bytes()
-        extra = {"config_hash": "new", "status": "completed", "accuracy": 1.0}
+        extra = {"dataset": "S1", "config": _CONFIG, "config_hash": "new",
+                 "status": "completed", "accuracy": 1.0}
         for cut in range(len(full) + 1):
             store.path.write_bytes(full[:cut])
             loaded = store.load()
@@ -283,6 +294,40 @@ class TestResultsStore:
             fh.write('{"config_hash": \n')
         with pytest.raises(DataError, match="results.jsonl:2:"):
             store.load()
+
+    @pytest.mark.parametrize("line, why", [
+        ('[1, 2]', "not a JSON object"),
+        ('{"status": "completed"}', "no string 'dataset'"),
+        ('{"dataset": "S1", "config_hash": "h", "status": "completed"}', "no 'config' object"),
+        ('{"dataset": "S1", "config_hash": "h", "status": "done", '
+         '"config": {"architecture": "mlp", "activation": {"name": "relu"}}}', "status 'done'"),
+        ('{"dataset": "S1", "config_hash": "h", "status": "completed", '
+         '"config": {"architecture": "mlp", "activation": "relu"}}', "'config.activation'"),
+    ] + [
+        ('{"dataset": "S1", "config_hash": "h", "status": "completed", "accuracy": %s, '
+         '"config": {"architecture": "mlp", "activation": {"name": "relu"}}}' % acc,
+         "accuracy") for acc in ("null", "true", '"0.5"', "NaN", "Infinity")
+    ])
+    def test_line_that_is_not_a_record_names_line(self, tmp_path, line, why):
+        store = ResultsStore(tmp_path / "results.jsonl")
+        store.append(self._records()[0])
+        with open(store.path, "a") as fh:
+            fh.write(line + "\n")
+        with pytest.raises(DataError, match="results.jsonl:2: not a result record: ") as exc:
+            store.load()
+        assert why in str(exc.value)
+
+    def test_record_of_another_config_schema_loads_and_misses_the_cache(self, tmp_path):
+        root = make_ucr_root(tmp_path / "ucr", ["S1"], n_train=8, n_test=8, length=12)
+        store = ResultsStore(tmp_path / "results.jsonl")
+        cfg = TrainConfig.for_architecture("mlp", "relu", epochs=1)
+        old = {**cfg.to_dict(), "backend": "numpy"}
+        del old["znorm"]
+        store.append({"dataset": "S1", "config": old, "config_hash": "old-schema",
+                      "status": "completed", "accuracy": 0.5})
+        assert store.load()[0]["config_hash"] == "old-schema"
+        out = run_sweep(["S1"], ["relu"], "mlp", root, store, overrides={"epochs": 1})
+        assert out.n_cached == 0 and out.n_trained == 1
 
 
 def _exit_on_sine(payload):

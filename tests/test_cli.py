@@ -16,6 +16,17 @@ def read_jsonl(path):
     return [json.loads(line) for line in path.read_text().splitlines() if line.strip()]
 
 
+# Well-formed JSON lines that are not result records.
+NOT_RECORDS = [
+    '{"status": "completed"}',
+    "[1, 2]",
+    json.dumps({"dataset": "S1", "config_hash": "h", "status": "completed", "accuracy": None,
+                "config": {"architecture": "mlp", "activation": {"name": "relu"}}}),
+    json.dumps({"dataset": "S1", "config_hash": "h", "status": "completed", "accuracy": True,
+                "config": {"architecture": "mlp", "activation": {"name": "relu"}}}),
+]
+
+
 def poison(root, name, value="nan"):
     """Overwrite the first value of the third training row; return the file."""
     path = root / name / f"{name}_TRAIN.tsv"
@@ -194,6 +205,19 @@ class TestBench:
         assert code == 3
         assert not list((tmp_path / "out").glob("*/results.jsonl"))
 
+    @pytest.mark.parametrize("line", NOT_RECORDS)
+    def test_line_that_is_not_a_record_exits_3(self, tmp_path, capsys, line):
+        root = make_ucr_root(tmp_path / "ucr", ["S1"], n_train=8, n_test=8, length=12)
+        argv = ["bench", "--arch", "mlp", "--activations", "relu", "--datasets", "S1",
+                "--data-root", str(root), "--epochs", "1", "--out", str(tmp_path / "out")]
+        assert run(argv) == 0
+        (results,) = (tmp_path / "out").glob("bench-*/results.jsonl")
+        with open(results, "a") as fh:
+            fh.write(line + "\n")
+        capsys.readouterr()
+        assert run(argv) == 3
+        assert f"{results}:2: not a result record: " in capsys.readouterr().err
+
     def test_parallel_matches_serial(self, tmp_path):
         root = make_ucr_root(tmp_path / "ucr", ["S1"], n_train=8, n_test=8, length=12)
         base = [
@@ -284,6 +308,16 @@ class TestCompare:
                     "--out", str(tmp_path / "cmp")])
         assert code == 3
         assert "found 1 dataset(s) and 3 activation(s)" in capsys.readouterr().err
+        assert not list((tmp_path / "cmp").glob("compare-*"))
+
+    @pytest.mark.parametrize("line", NOT_RECORDS)
+    def test_line_that_is_not_a_record_exits_3(self, tmp_path, capsys, line):
+        results = tmp_path / "one.jsonl"
+        results.write_text(line + "\n")
+        code = run(["compare", "--results", str(results), "--arch", "mlp",
+                    "--out", str(tmp_path / "cmp")])
+        assert code == 3
+        assert f"{results}:1: not a result record: " in capsys.readouterr().err
         assert not list((tmp_path / "cmp").glob("compare-*"))
 
     def test_missing_results_file_exits_3(self, tmp_path):
@@ -426,6 +460,14 @@ class TestBoundaryValidation:
         with pytest.raises(SystemExit) as exc:
             run(self._argv(tmp_path, command) + ["--config", str(tmp_path / "c.json")])
         assert exc.value.code == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["train", "bench"])
+    def test_bad_setting_outranks_missing_dataset(self, tmp_path, capsys, command):
+        argv = self._argv(tmp_path, command) + ["--epochs", "-1"]
+        argv[argv.index("S1")] = "NOPE"
+        assert run(argv) == 2
+        assert "epochs must be >= 0, got -1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_train_missing_dataset_exits_3_writing_nothing(self, tmp_path):
