@@ -11,6 +11,8 @@ its value and derivative formulas, its property row (limits at +-inf,
 monotonicity, semi-periodic period), its parameter defaults, checks and
 trainable set, and its kink slopes. Adding an activation means adding one
 record, and nothing outside this file.
+
+scipy is imported on first use, by GELU only, so a cell without GELU skips its import.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import ConfigError, DomainError
 
@@ -97,6 +98,13 @@ def _sigmoid(x):
 
 def _phi(x):
     return np.exp(-0.5 * np.square(x)) / _SQRT_2PI
+
+
+def _ndtr(x):
+    """Standard normal CDF; scipy.special is imported on the first call."""
+    from scipy.special import ndtr
+
+    return ndtr(x)
 
 
 # The two LeakySineLU formulas work in one output buffer (out= keeps a 0-d
@@ -189,8 +197,8 @@ _REGISTRY: dict[str, _Entry] = {
         kink_slopes=lambda p: (p["alpha"], 1.0),
     ),
     "gelu": _Entry(
-        value=lambda x, p: x * ndtr(x),
-        derivative=lambda x, p: ndtr(x) + x * _phi(x),
+        value=lambda x, p: x * _ndtr(x),
+        derivative=lambda x, p: _ndtr(x) + x * _phi(x),
         limits=(0.0, _INF), monotonic=False,
     ),
     "silu": _Entry(

@@ -58,7 +58,7 @@ EVAL_BATCH = 256  # test series per inference forward; bounds evaluation memory
 
 ARCH_DEFAULTS = {
     "mlp": {"optimizer": "adadelta", "learning_rate": 1.0, "epochs": 1000, "norm_enabled": False},
-    "fcn": {"optimizer": "adam", "learning_rate": 0.001, "epochs": 2000},
+    "fcn": {"optimizer": "adam", "learning_rate": 0.001, "epochs": 2000, "norm_enabled": True},
 }
 
 
@@ -83,10 +83,10 @@ class TrainConfig:
     optimizer: str
     learning_rate: float
     epochs: int
+    norm_enabled: bool
     batch_size: int = 16
     seed: int = 0
     znorm: str = "per_series"
-    norm_enabled: bool = True
 
     def __post_init__(self):
         _known("architecture", self.architecture, ARCH_DEFAULTS)

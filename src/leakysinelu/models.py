@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import activations as zoo
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, DataError, ShapeError
 
 __all__ = [
     "ModelSpec",
@@ -249,13 +249,19 @@ def save_checkpoint(path, spec: ModelSpec, state: ModelState, opt_state) -> None
 
 
 def load_checkpoint(path):
-    """Read back (spec, state, optimizer_state_or_None) from save_checkpoint."""
+    """Read back (spec, state, optimizer_state) from save_checkpoint.
+
+    save_checkpoint always writes the optimizer state, so a file without it
+    raises DataError naming the path.
+    """
     from .optim import OptimizerState
 
     with np.load(path) as blob:
         meta = json.loads(bytes(blob["meta"]).decode())
         if meta["format"] != CHECKPOINT_FORMAT:
             raise ConfigError(f"unsupported checkpoint format {meta['format']}")
+        if "optimizer" not in meta:
+            raise DataError(f"{path}: checkpoint has no optimizer state")
         spec = ModelSpec.from_json(json.dumps(meta["spec"]))
         params, buffers, slots = {}, {}, {}
         for key in blob.files:
@@ -267,11 +273,9 @@ def load_checkpoint(path):
                 _, name, slot = key.split("/", 2)
                 slots.setdefault(name, {})[slot] = blob[key]
         state = ModelState(params=params, buffers=buffers, seed=meta["seed"])
-        opt_state = None
-        if "optimizer" in meta:
-            opt_state = OptimizerState(
-                hyper=meta["optimizer"]["hyper"],
-                slots=slots,
-                step_count=meta["optimizer"]["step_count"],
-            )
+        opt_state = OptimizerState(
+            hyper=meta["optimizer"]["hyper"],
+            slots=slots,
+            step_count=meta["optimizer"]["step_count"],
+        )
     return spec, state, opt_state

@@ -8,6 +8,8 @@ matrices, and one-vs-one scatter plots.
 
 Conventions: zero differences are dropped before ranking (classic Wilcoxon),
 and W = min(W+, W-). Both choices are recorded in report metadata.
+
+scipy is imported on first use, so `cli`, which imports this module, starts without it.
 """
 
 from __future__ import annotations
@@ -20,8 +22,6 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import ndtr
-from scipy.stats import chi2, rankdata
 
 from . import activations as zoo
 from .errors import ConfigError, ContractError, DataError
@@ -72,6 +72,8 @@ class AccuracyMatrix:
 
 def rank_matrix(values: np.ndarray) -> np.ndarray:
     """Per-row ranks, 1 = highest value, ties get the mean tied position."""
+    from scipy.stats import rankdata
+
     return rankdata(-np.asarray(values, dtype=np.float64), axis=1, method="average")
 
 
@@ -82,6 +84,8 @@ def average_ranks(matrix: AccuracyMatrix) -> np.ndarray:
 
 def friedman(matrix: AccuracyMatrix) -> tuple[float, float]:
     """Friedman chi-square over average ranks, df = k - 1."""
+    from scipy.stats import chi2
+
     n, k = matrix.values.shape
     if k < 3:
         raise ConfigError("friedman needs k >= 3 methods; use wilcoxon for pairs")
@@ -105,6 +109,9 @@ def wilcoxon_signed_rank(a, b) -> WilcoxonResult:
     distribution of W+ over all 2^n sign assignments is built by subset-sum
     counting on doubled ranks (integers even under average-rank ties).
     """
+    from scipy.special import ndtr
+    from scipy.stats import rankdata
+
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1 or a.size < 1:

@@ -54,6 +54,25 @@ class TestTrainConfig:
             TrainConfig.for_architecture("mlp", "relu", norm_enabled=True)
         assert not TrainConfig.for_architecture("fcn", "relu", norm_enabled=False).norm_enabled
 
+    def test_direct_construction_by_keyword(self):
+        cfg = TrainConfig(architecture="mlp", activation=zoo.activation("relu"),
+                          optimizer="adadelta", learning_rate=1.0, epochs=10,
+                          norm_enabled=False)
+        assert cfg == TrainConfig.for_architecture("mlp", "relu", epochs=10)
+        assert TrainConfig.for_architecture("fcn", "relu").norm_enabled
+
+    @pytest.mark.parametrize("arch, activation, overrides, digest", [
+        ("mlp", "leakysinelu", {},
+         "2be7402b3839f3302f320a8d8e0838377db52474a183984ebc9a720e59174b8b"),
+        ("fcn", "gelu", {"seed": 3, "epochs": 7},
+         "a9f2e6d6d4a00301a9f571bb59c620fbb957a9778639d9a0327ba879d043b2c0"),
+    ])
+    def test_cell_hash_is_pinned(self, arch, activation, overrides, digest):
+        # Field order and defaults may move; the hash of a recipe cell may not,
+        # or every stored sweep would retrain.
+        cfg = TrainConfig.for_architecture(arch, activation, **overrides)
+        assert cell_hash("Coffee", cfg) == digest
+
     def test_hash_changes_with_config(self):
         a = TrainConfig.for_architecture("mlp", "relu")
         b = TrainConfig.for_architecture("mlp", "relu", seed=1)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from leakysinelu import activations as zoo
-from leakysinelu.errors import ConfigError, ShapeError
+from leakysinelu.errors import ConfigError, DataError, ShapeError
 from leakysinelu.models import (
     ModelSpec,
     build_fcn,
@@ -176,3 +176,17 @@ class TestSerialization:
         assert [k for k in files if k.startswith("opt/")] == [
             f"opt/{name}/{slot}" for name in state.params for slot in slots
         ]
+
+    def test_checkpoint_without_optimizer_state_rejected(self, tmp_path):
+        spec = build_mlp(8, 2, "relu")
+        state = init_params(spec, 0)
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(path, spec, state, Adam().init_state(state.params))
+        with np.load(path) as blob:
+            arrays = {k: blob[k] for k in blob.files}
+        meta = json.loads(bytes(arrays["meta"]).decode())
+        del meta["optimizer"]
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        np.savez(path, **arrays)
+        with pytest.raises(DataError, match="ckpt.npz: checkpoint has no optimizer state"):
+            load_checkpoint(path)
