@@ -142,8 +142,6 @@ def conv1d_same(x: Tensor, w: Tensor, b: Tensor, tape: Tape | None = None) -> Te
     pad_right = k_width - 1 - pad_left
     xp = np.pad(x.data, ((0, 0), (0, 0), (pad_left, pad_right)))
     out, cols = kernels.conv1d_forward(xp, w.data)
-    if tape is None:
-        cols = None  # only the backward pass reads it; free it before the copy below
     out_data = np.add(out, b.data[None, :, None], out=np.empty(out.shape))
     lp = xp.shape[2]
 

@@ -54,7 +54,7 @@ __all__ = [
 
 SCHEMA_VERSION = 2
 _SETTLED = ("completed", "diverged")  # statuses a rerun cannot change
-EVAL_BATCH = 256  # test series per inference forward; bounds evaluation memory
+BATCH_SIZE = 16  # rows per forward pass; none is larger than a training step's
 
 ARCH_DEFAULTS = {
     "mlp": {"optimizer": "adadelta", "learning_rate": 1.0, "epochs": 1000, "norm_enabled": False},
@@ -84,7 +84,7 @@ class TrainConfig:
     learning_rate: float
     epochs: int
     norm_enabled: bool
-    batch_size: int = 16
+    batch_size: int = BATCH_SIZE
     seed: int = 0
     znorm: str = "per_series"
 
@@ -224,15 +224,28 @@ def train(
     return state, history, opt_state
 
 
+def _batches(dataset: Dataset):
+    """(series, labels) slices of ``BATCH_SIZE`` rows, in order."""
+    for start in range(0, len(dataset), BATCH_SIZE):
+        rows = slice(start, start + BATCH_SIZE)
+        yield dataset.series[rows], dataset.labels[rows]
+
+
 def evaluate(state: ModelState, spec: ModelSpec, dataset: Dataset) -> float:
     """Test accuracy: argmax head with lowest-index ties, or logit > 0 for
     the sigmoid head; dropout off, batch norm in inference mode."""
-    correct = 0
-    for start in range(0, len(dataset), EVAL_BATCH):
-        x = dataset.series[start : start + EVAL_BATCH]
-        y = dataset.labels[start : start + EVAL_BATCH]
-        correct += int((predict(spec, state, x) == y).sum())
+    correct = sum(int((predict(spec, state, x) == y).sum()) for x, y in _batches(dataset))
     return correct / len(dataset)
+
+
+def _eval_loss(state: ModelState, spec: ModelSpec, dataset: Dataset) -> float:
+    """The eval-mode loss of ``state`` over ``dataset``, each batch weighted
+    by its length as in ``train``'s history."""
+    total = 0.0
+    for x, y in _batches(dataset):
+        logits = forward(spec, state, x, training=False)
+        total += float(_loss(spec, logits, y).data) * len(y)
+    return total / len(dataset)
 
 
 def run_cell(payload: dict) -> dict:
@@ -252,11 +265,8 @@ def run_cell(payload: dict) -> dict:
         spec = build_spec(config, train_ds)
         state, history, opt_state = train(spec, train_ds, config)
         result.accuracy = evaluate(state, spec, test_ds)
-        if history:
-            result.final_train_loss = history[-1]
-        else:  # no epoch ran: the eval-mode loss of the initialization
-            logits = forward(spec, state, train_ds.series, training=False)
-            result.final_train_loss = float(_loss(spec, logits, train_ds.labels).data)
+        # with no epoch run, the eval-mode loss of the initialization
+        result.final_train_loss = history[-1] if history else _eval_loss(state, spec, train_ds)
         if payload.get("checkpoint_dir"):
             ckpt_dir = Path(payload["checkpoint_dir"])
             ckpt_dir.mkdir(parents=True, exist_ok=True)

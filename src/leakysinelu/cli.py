@@ -85,7 +85,11 @@ def _parse_datasets(value: str) -> list[str]:
         path = Path(value[1:])
         if not path.is_file():
             raise DataError(f"dataset list file not found: {path}")
-        names = _unique(line.strip() for line in path.read_text().splitlines())
+        try:
+            text = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: dataset list is not UTF-8 text: {exc}") from exc
+        names = _unique(line.strip() for line in text.splitlines())
     else:
         names = _unique(v.strip() for v in value.split(","))
     if not names:

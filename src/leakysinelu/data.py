@@ -1,4 +1,5 @@
-"""UCR-style dataset loading: tab-separated, label first, one series per row.
+"""UCR-style dataset loading: tab-separated UTF-8 text, label first, one
+series per LF- or CRLF-terminated row.
 
 Only the equal-length univariate layout is supported; ragged rows are
 rejected, and so are missing (NaN) or infinite labels and values. Labels
@@ -88,9 +89,12 @@ def load_ucr_split(
         raise DataError(f"dataset file not found: {path}")
     rows: list[np.ndarray] = []
     raw_labels: list[str] = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise DataError(f"{path}:{lineno}: not UTF-8 text: {exc}") from exc
             if not line:
                 continue
             fields = line.split("\t") if "\t" in line else line.split()

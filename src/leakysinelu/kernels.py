@@ -34,8 +34,8 @@ BACKEND = "numpy"
 def conv1d_forward(xp: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(B, Cin, Lp) x (Cout, Cin, K) -> output (B, Cout, L) and its window matrix.
 
-    The output is a transposed view of the (B*L, Cout) product, so the caller
-    can drop ``cols`` before it copies the output into its final layout.
+    The output is a transposed view of the (B*L, Cout) product; the caller
+    copies it into its final layout when it adds the bias.
     """
     b, cin, lp = xp.shape
     cout, _, k_width = w.shape

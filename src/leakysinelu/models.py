@@ -9,6 +9,7 @@ Binary problems use a single sigmoid logit, multi-class a softmax head.
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import dataclass, field, fields
 from typing import Any
 
@@ -251,15 +252,26 @@ def save_checkpoint(path, spec: ModelSpec, state: ModelState, opt_state) -> None
 def load_checkpoint(path):
     """Read back (spec, state, optimizer_state) from save_checkpoint.
 
-    save_checkpoint always writes the optimizer state, so a file without it
-    raises DataError naming the path.
+    DataError, naming the path, for a missing file, one that is not an .npz
+    archive, one without readable metadata, another checkpoint format, or
+    no optimizer state (which save_checkpoint always writes).
     """
     from .optim import OptimizerState
 
-    with np.load(path) as blob:
-        meta = json.loads(bytes(blob["meta"]).decode())
-        if meta["format"] != CHECKPOINT_FORMAT:
-            raise ConfigError(f"unsupported checkpoint format {meta['format']}")
+    try:
+        blob = np.load(path)
+    except (OSError, ValueError, zipfile.BadZipFile) as exc:
+        raise DataError(f"{path}: cannot read checkpoint: {exc}") from exc
+    if not isinstance(blob, np.lib.npyio.NpzFile):
+        raise DataError(f"{path}: cannot read checkpoint: not an .npz archive")
+    with blob:
+        try:
+            meta = json.loads(bytes(blob["meta"]).decode())
+        except (KeyError, ValueError) as exc:
+            raise DataError(f"{path}: not a checkpoint: no readable 'meta' entry") from exc
+        found = meta.get("format") if isinstance(meta, dict) else None
+        if found != CHECKPOINT_FORMAT:
+            raise DataError(f"{path}: unsupported checkpoint format {found!r}")
         if "optimizer" not in meta:
             raise DataError(f"{path}: checkpoint has no optimizer state")
         spec = ModelSpec.from_json(json.dumps(meta["spec"]))

@@ -214,21 +214,22 @@ def _interval_cliques(
 ) -> list[tuple[str, ...]]:
     # Maximal intervals over the rank order whose internal pairs are all
     # non-significant; a method in no wider interval forms a singleton.
+    # The widest interval starting at i+1 reaches at least as far right as
+    # the one starting at i, so an interval is maximal exactly when its
+    # right end passes the previous one's.
     k = len(ordered)
-    intervals = []
+    cliques = []
+    last = -1
     for i in range(k):
         j = i
         while j + 1 < k and not any(
             significant[frozenset((ordered[t], ordered[j + 1]))] for t in range(i, j + 1)
         ):
             j += 1
-        intervals.append((i, j))
-    maximal = [
-        (i, j)
-        for i, j in set(intervals)
-        if not any((p <= i and j <= q and (p, q) != (i, j)) for p, q in intervals)
-    ]
-    return [tuple(ordered[i : j + 1]) for i, j in sorted(maximal)]
+        if j > last:
+            cliques.append(tuple(ordered[i : j + 1]))
+            last = j
+    return cliques
 
 
 def build_report(matrix: AccuracyMatrix, alpha: float = 0.05) -> ComparisonReport:

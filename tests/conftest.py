@@ -96,7 +96,8 @@ def model_gradcheck(spec, seed=0, coords_per_tensor=4, h=1e-4):
         spec, state, x, tape=tape, training=True,
         rng=np.random.default_rng(3), param_tensors=tensors,
     )
-    loss = sigmoid_bce(logits, y, tape) if spec.head == "sigmoid" else softmax_xent(logits, y, tape)
+    loss_fn = sigmoid_bce if spec.head == "sigmoid" else softmax_xent
+    loss = loss_fn(logits, y, tape)
     tape.backward(loss)
     worst = 0.0
     coord_rng = np.random.default_rng(17)

@@ -43,7 +43,8 @@ class TestValues:
 
 class TestDerivatives:
     def test_leakysinelu_derivative_positive_branch(self):
-        assert zoo.derivative(zoo.activation("leakysinelu"), math.pi / 4) == pytest.approx(2.0, abs=1e-15)
+        d = zoo.derivative(zoo.activation("leakysinelu"), math.pi / 4)
+        assert d == pytest.approx(2.0, abs=1e-15)
 
     def test_leakysinelu_canonical_subgradient_at_zero(self):
         assert zoo.derivative(zoo.activation("leakysinelu"), 0.0) == 1.0

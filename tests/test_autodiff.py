@@ -77,7 +77,8 @@ class TestConv1d:
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError):
             ad.conv1d_same(
-                ad.Tensor(np.zeros((1, 2, 5))), ad.Tensor(np.zeros((3, 1, 3))), ad.Tensor(np.zeros(3))
+                ad.Tensor(np.zeros((1, 2, 5))), ad.Tensor(np.zeros((3, 1, 3))),
+                ad.Tensor(np.zeros(3)),
             )
 
     def test_gradients_match_finite_differences(self):

@@ -5,14 +5,16 @@ import numpy as np
 import pytest
 
 from leakysinelu import activations as zoo
-from leakysinelu import bench
+from leakysinelu import bench, models
 from leakysinelu.bench import (
+    BATCH_SIZE,
     DivergenceError,
     ResultsStore,
     RunResult,
     TrainConfig,
     build_spec,
     cell_hash,
+    cell_payload,
     evaluate,
     run_cell,
     run_sweep,
@@ -20,7 +22,7 @@ from leakysinelu.bench import (
 )
 from leakysinelu.data import Dataset
 from leakysinelu.errors import ConfigError, DataError
-from leakysinelu.models import init_params
+from leakysinelu.models import init_params, predict
 
 from conftest import make_ucr_root, toy_sine_vs_flat
 
@@ -127,13 +129,15 @@ class TestEvaluate:
         spec, state, ds = self._constant_predictor(2)
         head_bias = state.params["l7.b"]
         head_bias[:] = 10.0  # always predict class 1
-        only_ones = Dataset(ds.name, ds.series, np.ones(len(ds), dtype=np.int64), ds.label_map, "test")
+        ones = np.ones(len(ds), dtype=np.int64)
+        only_ones = Dataset(ds.name, ds.series, ones, ds.label_map, "test")
         assert evaluate(state, spec, only_ones) == 1.0
 
     def test_all_wrong(self):
         spec, state, ds = self._constant_predictor(2)
         state.params["l7.b"][:] = 10.0
-        only_zeros = Dataset(ds.name, ds.series, np.zeros(len(ds), dtype=np.int64), ds.label_map, "test")
+        zeros = np.zeros(len(ds), dtype=np.int64)
+        only_zeros = Dataset(ds.name, ds.series, zeros, ds.label_map, "test")
         assert evaluate(state, spec, only_zeros) == 0.0
 
     def test_tied_logits_pick_lowest_class(self):
@@ -147,6 +151,34 @@ class TestEvaluate:
         labels = np.array([1, 0, 1, 0, 1, 1, 0, 1, 1, 1], dtype=np.int64)
         mixed = Dataset(ds.name, ds.series, labels, ds.label_map, "test")
         assert evaluate(state, spec, mixed) == 0.7
+
+    @pytest.mark.parametrize("arch", ["mlp", "fcn"])
+    def test_no_forward_is_larger_than_a_training_batch(self, tmp_path, monkeypatch, arch):
+        rows = []
+        real_forward = models.forward
+
+        def spy(spec, state, x, **kwargs):
+            rows.append(len(x))
+            return real_forward(spec, state, x, **kwargs)
+
+        monkeypatch.setattr(models, "forward", spy)  # looked up by models.predict
+        monkeypatch.setattr(bench, "forward", spy)  # imported by name into bench
+        root = make_ucr_root(tmp_path / "ucr", ["S1"], n_train=20, n_test=19, length=12)
+        config = TrainConfig.for_architecture(arch, "relu", epochs=0)
+        record = run_cell(cell_payload("S1", config, root))
+        assert record["status"] == "completed"
+        # two classes: 40 training rows for the epoch-0 loss, then 38 for evaluate
+        assert max(rows) <= BATCH_SIZE and sum(rows) == 40 + 38
+
+    @pytest.mark.parametrize("arch, epochs", [("mlp", 5), ("fcn", 2)])
+    def test_accuracy_matches_one_batch_predict(self, arch, epochs):
+        ds = toy_sine_vs_flat(n_per_class=20, length=16)
+        config = TrainConfig.for_architecture(arch, "leakysinelu", epochs=epochs)
+        spec = build_spec(config, ds)
+        state, _, _ = train(spec, ds, config)
+        assert len(ds) > BATCH_SIZE
+        reference = float((predict(spec, state, ds.series) == ds.labels).mean())
+        assert evaluate(state, spec, ds) == reference
 
 
 class TestSweep:

@@ -476,6 +476,26 @@ class TestBoundaryValidation:
         assert run(argv) == 3
         assert not list((tmp_path / "out").glob("train-*"))
 
+    @pytest.mark.parametrize("command", ["train", "bench"])
+    def test_non_utf8_dataset_exits_3_naming_the_line(self, tmp_path, capsys, command):
+        argv = self._argv(tmp_path, command)
+        path = tmp_path / "ucr" / "S1" / "S1_TRAIN.tsv"
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[2] = b"\xff" + lines[2]
+        path.write_bytes(b"".join(lines))
+        assert run(argv) == 3
+        assert f"{path}:3: not UTF-8 text" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_non_utf8_dataset_list_exits_3_naming_the_file(self, tmp_path, capsys):
+        argv = self._argv(tmp_path, "bench")
+        listing = tmp_path / "sets.txt"
+        listing.write_bytes(b"S1\n\xe9t\xe9\n")
+        argv[argv.index("S1")] = f"@{listing}"
+        assert run(argv) == 3
+        assert f"{listing}: dataset list is not UTF-8 text" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestSharedFlags:
     @pytest.mark.parametrize("command, own", [

@@ -177,16 +177,50 @@ class TestSerialization:
             f"opt/{name}/{slot}" for name in state.params for slot in slots
         ]
 
-    def test_checkpoint_without_optimizer_state_rejected(self, tmp_path):
+    @staticmethod
+    def _save_edited(path, edit_meta=None, drop_meta=False):
+        """Save a checkpoint to ``path``, then rewrite it with its metadata
+        passed through ``edit_meta`` or, with ``drop_meta``, removed."""
         spec = build_mlp(8, 2, "relu")
         state = init_params(spec, 0)
-        path = tmp_path / "ckpt.npz"
         save_checkpoint(path, spec, state, Adam().init_state(state.params))
         with np.load(path) as blob:
             arrays = {k: blob[k] for k in blob.files}
-        meta = json.loads(bytes(arrays["meta"]).decode())
-        del meta["optimizer"]
-        arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        meta = json.loads(bytes(arrays.pop("meta")).decode())
+        if not drop_meta:
+            edit_meta(meta)
+            arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
         np.savez(path, **arrays)
+
+    def test_checkpoint_without_optimizer_state_rejected(self, tmp_path):
+        path = tmp_path / "ckpt.npz"
+        self._save_edited(path, lambda meta: meta.pop("optimizer"))
         with pytest.raises(DataError, match="ckpt.npz: checkpoint has no optimizer state"):
+            load_checkpoint(path)
+
+    def test_missing_checkpoint_is_a_data_error(self, tmp_path):
+        with pytest.raises(DataError, match="absent.npz: cannot read checkpoint"):
+            load_checkpoint(tmp_path / "absent.npz")
+
+    @pytest.mark.parametrize("content", ["text", "npy"])
+    def test_non_zip_checkpoint_is_a_data_error(self, tmp_path, content):
+        path = tmp_path / "ckpt.npz"
+        if content == "npy":
+            with open(path, "wb") as fh:
+                np.save(fh, np.zeros(3))
+        else:
+            path.write_bytes(b"not a checkpoint at all\n")
+        with pytest.raises(DataError, match="ckpt.npz: cannot read checkpoint"):
+            load_checkpoint(path)
+
+    def test_checkpoint_without_meta_is_a_data_error(self, tmp_path):
+        path = tmp_path / "ckpt.npz"
+        self._save_edited(path, drop_meta=True)
+        with pytest.raises(DataError, match="ckpt.npz: not a checkpoint: no readable 'meta'"):
+            load_checkpoint(path)
+
+    def test_checkpoint_of_another_format_is_a_data_error(self, tmp_path):
+        path = tmp_path / "ckpt.npz"
+        self._save_edited(path, lambda meta: meta.update(format=99))
+        with pytest.raises(DataError, match="ckpt.npz: unsupported checkpoint format 99"):
             load_checkpoint(path)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from leakysinelu.errors import ConfigError, ContractError, DataError
 from leakysinelu.stats import (
     AccuracyMatrix,
+    _interval_cliques,
     average_ranks,
     build_report,
     friedman,
@@ -240,6 +241,39 @@ class TestHolmMatchesStepDownLoop:
         want_adjusted, want_reject = holm_loop(pvals, alpha)
         assert adjusted.tobytes() == want_adjusted.tobytes()
         assert reject.tolist() == want_reject.tolist()
+
+
+def maximal_intervals(ordered, significant):
+    """Oracle: every interval of the rank order whose pairs are all
+    non-significant, kept when no other such interval contains it."""
+    k = len(ordered)
+    valid = [
+        (i, j) for i in range(k) for j in range(i, k)
+        if not any(significant[frozenset(pair)]
+                   for pair in itertools.combinations(ordered[i : j + 1], 2))
+    ]
+    return [
+        tuple(ordered[i : j + 1]) for i, j in valid
+        if not any(p <= i and j <= q and (p, q) != (i, j) for p, q in valid)
+    ]
+
+
+@st.composite
+def significance_patterns(draw):
+    k = draw(st.integers(2, 8))
+    ordered = [f"m{i}" for i in range(k)]
+    flags = draw(st.lists(st.booleans(), min_size=k * (k - 1) // 2,
+                          max_size=k * (k - 1) // 2))
+    pairs = itertools.combinations(ordered, 2)
+    return ordered, {frozenset(pair): flag for pair, flag in zip(pairs, flags)}
+
+
+class TestIntervalCliquesAreMaximal:
+    @settings(max_examples=500, deadline=None)
+    @given(significance_patterns())
+    def test_equals_brute_force(self, pattern):
+        ordered, significant = pattern
+        assert _interval_cliques(ordered, significant) == maximal_intervals(ordered, significant)
 
 
 class TestWtl:
