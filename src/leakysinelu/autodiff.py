@@ -3,8 +3,10 @@
 A ``Tape`` records operations in execution order; ``backward`` replays them
 in reverse, accumulating gradients into each ``Tensor``'s ``.grad``. Passing
 ``tape=None`` to any operation runs it forward-only (used for inference).
-Only the operations needed by the two reference architectures plus the
-sine-layer fitting demo are provided.
+The convolutional ops (``conv1d_same``, ``batch_norm1d``,
+``global_avg_pool``) take channel-major (C, B, L) arrays; ``global_avg_pool``
+returns (B, C) for a dense head. Only the operations needed by the two
+reference architectures plus the sine-layer fitting demo are provided.
 """
 
 from __future__ import annotations
@@ -35,17 +37,22 @@ BN_EPS = 1e-5
 
 
 class Tensor:
-    """A float64 array plus its accumulated gradient."""
+    """A float64 array plus its accumulated gradient.
 
-    __slots__ = ("data", "grad")
+    With ``requires_grad=False`` (a model's data batch) no gradient is
+    computed for it or stored in ``.grad``.
+    """
 
-    def __init__(self, data):
+    __slots__ = ("data", "grad", "requires_grad")
+
+    def __init__(self, data, requires_grad: bool = True):
         arr = np.asarray(data, dtype=np.float64)
         if arr.ndim > 0 and not arr.flags["C_CONTIGUOUS"]:
             # ascontiguousarray would promote 0-d scalars to shape (1,)
             arr = np.ascontiguousarray(arr)
         self.data = arr
         self.grad = None
+        self.requires_grad = requires_grad
 
     @property
     def shape(self):
@@ -90,6 +97,8 @@ def _check_finite(data: np.ndarray, op: str) -> None:
 
 
 def _accumulate(t: Tensor, g, op: str) -> None:
+    if not t.requires_grad:
+        return
     if not np.isfinite(np.sum(g)):
         raise NumericError(f"non-finite gradient flowing into input of {op}")
     if t.grad is None:
@@ -117,7 +126,8 @@ def affine(x: Tensor, w: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
     out_data = x.data @ w.data + b.data
 
     def bwd(g):
-        _accumulate(x, g @ w.data.T, "affine")
+        if x.requires_grad:
+            _accumulate(x, g @ w.data.T, "affine")
         _accumulate(w, x.data.T @ g, "affine")
         _accumulate(b, g.sum(axis=0), "affine")
 
@@ -125,45 +135,44 @@ def affine(x: Tensor, w: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
 
 
 def conv1d_same(x: Tensor, w: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
-    """Same-padded stride-1 cross-correlation: (B,Cin,L) -> (B,Cout,L).
+    """Same-padded stride-1 cross-correlation: (Cin,B,L) -> (Cout,B,L).
 
-    Zero padding is floor((K-1)/2) on the left and ceil((K-1)/2) on the
-    right, so even kernel widths pad asymmetrically.
+    Channel-major, so that each conv is one GEMM whose result is already in
+    the output's layout (see ``kernels``). Zero padding is floor((K-1)/2) on
+    the left and ceil((K-1)/2) on the right, so even kernel widths pad
+    asymmetrically.
     """
     if x.data.ndim != 3 or w.data.ndim != 3 or b.data.ndim != 1:
-        raise ShapeError("conv1d_same expects x (B,Cin,L), w (Cout,Cin,K), b (Cout,)")
-    if x.data.shape[1] != w.data.shape[1] or w.data.shape[0] != b.data.shape[0]:
+        raise ShapeError("conv1d_same expects x (Cin,B,L), w (Cout,Cin,K), b (Cout,)")
+    if x.data.shape[0] != w.data.shape[1] or w.data.shape[0] != b.data.shape[0]:
         raise ShapeError(
             f"conv1d_same shape mismatch: x{x.data.shape} w{w.data.shape} b{b.data.shape}"
         )
-    length = x.data.shape[2]
-    k_width = w.data.shape[2]
+    _, b_sz, length = x.data.shape
+    cout, _, k_width = w.data.shape
     pad_left = (k_width - 1) // 2
-    pad_right = k_width - 1 - pad_left
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pad_left, pad_right)))
-    out, cols = kernels.conv1d_forward(xp, w.data)
-    out_data = np.add(out, b.data[None, :, None], out=np.empty(out.shape))
-    lp = xp.shape[2]
+    out, cols = kernels.conv1d_forward(x.data, w.data, pad_left)
+    out += b.data[:, None]
 
     def bwd(g):
         g = np.ascontiguousarray(g)
-        dxp = kernels.conv1d_grad_input(g, w.data, lp)
-        _accumulate(x, dxp[:, :, pad_left : pad_left + length], "conv1d_same")
+        if x.requires_grad:
+            _accumulate(x, kernels.conv1d_grad_input(g, w.data, pad_left), "conv1d_same")
         _accumulate(w, kernels.conv1d_grad_kernel(g, cols, k_width), "conv1d_same")
-        _accumulate(b, g.sum(axis=(0, 2)), "conv1d_same")
+        _accumulate(b, g.sum(axis=(1, 2)), "conv1d_same")
 
-    return _emit(tape, "conv1d_same", out_data, bwd)
+    return _emit(tape, "conv1d_same", out.reshape(cout, b_sz, length), bwd)
 
 
 def global_avg_pool(x: Tensor, tape: Tape | None = None) -> Tensor:
-    """Mean over the time axis: (B,C,L) -> (B,C)."""
+    """Mean over the time axis: (C,B,L) -> (B,C), the dense head's layout."""
     if x.data.ndim != 3:
-        raise ShapeError("global_avg_pool expects (B,C,L)")
+        raise ShapeError("global_avg_pool expects (C,B,L)")
     length = x.data.shape[2]
-    out_data = x.data.mean(axis=2)
+    out_data = x.data.mean(axis=2).T
 
     def bwd(g):
-        _accumulate(x, np.broadcast_to(g[:, :, None] / length, x.data.shape), "global_avg_pool")
+        _accumulate(x, np.broadcast_to(g.T[:, :, None] / length, x.data.shape), "global_avg_pool")
 
     return _emit(tape, "global_avg_pool", out_data, bwd)
 
@@ -177,7 +186,7 @@ def batch_norm1d(
     training: bool,
     tape: Tape | None = None,
 ) -> Tensor:
-    """Per-channel standardization of (B,C,L) with learnable scale/shift.
+    """Per-channel standardization of (C,B,L) with learnable scale/shift.
 
     Training mode standardizes with batch statistics over the (B,L) axes
     (population variance) and folds them into the running estimates with
@@ -185,41 +194,41 @@ def batch_norm1d(
     ``BN_EPS`` is added to the variance.
     """
     if x.data.ndim != 3:
-        raise ShapeError("batch_norm1d expects (B,C,L)")
-    b_sz, _, length = x.data.shape
+        raise ShapeError("batch_norm1d expects (C,B,L)")
+    _, b_sz, length = x.data.shape
     n = b_sz * length
     if training and n <= 1:
         raise ShapeError("batch_norm1d training mode needs B*L > 1")
-    # The reductions are the same .sum(axis=(0, 2)) passes x.mean and x.var
+    # The reductions are the same .sum(axis=(1, 2)) passes x.mean and x.var
     # make, so results match them bit for bit; elementwise steps write into
     # xhat, out_data or one scratch buffer instead of fresh temporaries.
     if training:
-        mean = x.data.mean(axis=(0, 2))
+        mean = x.data.mean(axis=(1, 2))
     else:
         mean = running_mean
-    xhat = np.subtract(x.data, mean[None, :, None])
+    xhat = np.subtract(x.data, mean[:, None, None])
     out_data = np.empty_like(xhat)
     if training:
-        var = np.multiply(xhat, xhat, out=out_data).sum(axis=(0, 2)) / n
+        var = np.multiply(xhat, xhat, out=out_data).sum(axis=(1, 2)) / n
         running_mean *= 1.0 - BN_MOMENTUM
         running_mean += BN_MOMENTUM * mean
         running_var *= 1.0 - BN_MOMENTUM
         running_var += BN_MOMENTUM * var
     else:
         var = running_var
-    inv = (1.0 / np.sqrt(var + BN_EPS))[None, :, None]
+    inv = (1.0 / np.sqrt(var + BN_EPS))[:, None, None]
     xhat *= inv
-    np.multiply(xhat, gamma.data[None, :, None], out=out_data)
-    out_data += beta.data[None, :, None]
+    np.multiply(xhat, gamma.data[:, None, None], out=out_data)
+    out_data += beta.data[:, None, None]
 
     def bwd(g):
         scratch = np.multiply(g, xhat)
-        _accumulate(gamma, scratch.sum(axis=(0, 2)), "batch_norm1d")
-        _accumulate(beta, g.sum(axis=(0, 2)), "batch_norm1d")
-        dx = np.multiply(g, gamma.data[None, :, None])  # dxhat, then dx in place
+        _accumulate(gamma, scratch.sum(axis=(1, 2)), "batch_norm1d")
+        _accumulate(beta, g.sum(axis=(1, 2)), "batch_norm1d")
+        dx = np.multiply(g, gamma.data[:, None, None])  # dxhat, then dx in place
         if training:
-            s1 = dx.sum(axis=(0, 2))[None, :, None]
-            s2 = np.multiply(dx, xhat, out=scratch).sum(axis=(0, 2))[None, :, None]
+            s1 = dx.sum(axis=(1, 2))[:, None, None]
+            s2 = np.multiply(dx, xhat, out=scratch).sum(axis=(1, 2))[:, None, None]
             # inv / n * (n * dxhat - s1 - xhat * s2)
             dx *= n
             dx -= s1
@@ -265,15 +274,19 @@ def activate(
     """Apply an activation elementwise.
 
     ``param`` carries a trainable tensor for the kind's one parameter, one
-    value per channel along axis 1 of x; when omitted the fixed values in
+    value per channel: along axis 0 of a (C,B,L) conv activation, along
+    axis 1 of a (B,n) dense one. When omitted the fixed values in
     ``kind.params`` are used.
     """
     xd = x.data
     params = kind.params
     if param is not None:
         (name,) = kind.params
-        params = {name: param.data.reshape((1, -1) + (1,) * (xd.ndim - 2))}
-        other_axes = (0, *range(2, xd.ndim))
+        if xd.ndim == 3:
+            shape, other_axes = (-1, 1, 1), (1, 2)
+        else:
+            shape, other_axes = (1, -1), (0,)
+        params = {name: param.data.reshape(shape)}
     out_data = zoo.array_value(kind, xd, params)
 
     def bwd(g):

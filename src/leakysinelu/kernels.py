@@ -3,16 +3,22 @@
 Callers look these names up on the module at each call
 (``kernels.conv1d_forward(...)``), so a profiler can wrap them in place.
 
-Convolution kernels operate on the already-padded input ``xp`` of shape
-(B, Cin, Lp) with Lp = L + K - 1, so the output length is exactly L.
-Cross-correlation convention, stride 1. Call them with positional arguments.
+Convolution kernels work channel-major: an input ``x`` has shape
+(Cin, B, L), an output or output gradient ``g`` has shape (Cout, B, L), and
+weights are (Cout, Cin, K). They compute the stride-1 cross-correlation of
+``x`` zero-padded by ``pad_left`` on the left and ``K - 1 - pad_left`` on the
+right, so the output length is exactly L; no padded copy of ``x`` is
+built. Call them with positional arguments.
 
 Window-matrix contract: ``conv1d_forward`` builds the im2col window matrix
-``cols`` once, of shape (B*L, Cin*K), with row ``b*L + t`` holding
-``xp[b, :, t:t+K]`` flattened channel-major (``cols[b*L + t, c*K + j] ==
-xp[b, c, t + j]``), and returns it beside the output. The caller keeps it
-for the backward pass and hands it, unmodified, to ``conv1d_grad_kernel``,
-which never sees ``xp``. No other kernel builds a window matrix.
+``cols`` once, of shape (Cin*K, B*L), with ``cols[c*K + j, b*L + t] ==
+xp[c, b, t + j]`` for the padded input ``xp``, and returns it beside the
+output. With this layout the forward pass is one GEMM,
+``W.reshape(Cout, Cin*K) @ cols``, whose (Cout, B*L) result is already the
+output's memory order, and each backward GEMM reads ``g`` as it lies. The
+caller keeps ``cols`` for the backward pass and hands it, unmodified, to
+``conv1d_grad_kernel``, which never sees ``x``. No other kernel builds a
+window matrix.
 """
 
 from __future__ import annotations
@@ -31,38 +37,47 @@ __all__ = [
 BACKEND = "numpy"
 
 
-def conv1d_forward(xp: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(B, Cin, Lp) x (Cout, Cin, K) -> output (B, Cout, L) and its window matrix.
+def _shift(j: int, pad_left: int, length: int) -> tuple[int, int, int]:
+    """(s, lo, hi): tap j reads input t + s for the output times lo <= t < hi;
+    the other output times read padding."""
+    s = j - pad_left
+    lo = max(0, -s)
+    return s, lo, max(lo, min(length, length - s))
 
-    The output is a transposed view of the (B*L, Cout) product; the caller
-    copies it into its final layout when it adds the bias.
-    """
-    b, cin, lp = xp.shape
+
+def conv1d_forward(x: np.ndarray, w: np.ndarray, pad_left: int) -> tuple[np.ndarray, np.ndarray]:
+    """(Cin, B, L) x (Cout, Cin, K) -> output (Cout, B*L) and its window matrix."""
+    cin, b, length = x.shape
     cout, _, k_width = w.shape
-    length = lp - k_width + 1
-    win = np.lib.stride_tricks.sliding_window_view(xp, k_width, axis=2)
-    cols = win.transpose(0, 2, 1, 3).reshape(b * length, cin * k_width)
-    out = cols @ w.reshape(cout, cin * k_width).T
-    return out.reshape(b, length, cout).transpose(0, 2, 1), cols
+    cols = np.empty((cin, k_width, b, length))
+    for j in range(k_width):
+        s, lo, hi = _shift(j, pad_left, length)
+        cols[:, j, :, lo:hi] = x[:, :, lo + s : hi + s]
+        cols[:, j, :, :lo] = 0.0
+        cols[:, j, :, hi:] = 0.0
+    cols = cols.reshape(cin * k_width, b * length)
+    return w.reshape(cout, cin * k_width) @ cols, cols
 
 
 def conv1d_grad_kernel(g: np.ndarray, cols: np.ndarray, k_width: int) -> np.ndarray:
     """d(loss)/dw from the output gradient and the forward window matrix."""
-    b, cout, length = g.shape
-    gm = g.transpose(0, 2, 1).reshape(b * length, cout)
-    return (gm.T @ cols).reshape(cout, cols.shape[1] // k_width, k_width)
+    cout = g.shape[0]
+    dw = g.reshape(cout, cols.shape[1]) @ cols.T
+    return dw.reshape(cout, cols.shape[0] // k_width, k_width)
 
 
-def conv1d_grad_input(g: np.ndarray, w: np.ndarray, lp: int) -> np.ndarray:
-    """d(loss)/dxp, shape (B, Cin, Lp); a view of a channels-last buffer."""
-    b, cout, length = g.shape
+def conv1d_grad_input(g: np.ndarray, w: np.ndarray, pad_left: int) -> np.ndarray:
+    """d(loss)/dx, shape (Cin, B, L): one GEMM, then the window matrix's
+    gradient summed back tap by tap (col2im)."""
+    cout, b, length = g.shape
     cin, k_width = w.shape[1], w.shape[2]
-    gm = g.transpose(0, 2, 1).reshape(b * length, cout)
-    t = (gm @ w.transpose(0, 2, 1).reshape(cout, k_width * cin)).reshape(b, length, k_width, cin)
-    dxp = np.zeros((b, lp, cin))
+    dcols = w.reshape(cout, cin * k_width).T @ g.reshape(cout, b * length)
+    dcols = dcols.reshape(cin, k_width, b, length)
+    dx = np.zeros((cin, b, length))
     for j in range(k_width):
-        dxp[:, j : j + length] += t[:, :, j]
-    return dxp.transpose(0, 2, 1)
+        s, lo, hi = _shift(j, pad_left, length)
+        dx[:, :, lo + s : hi + s] += dcols[:, j, :, lo:hi]
+    return dx
 
 
 def adam_update(p, g, m, v, beta1, beta2, scale, c2, eps):

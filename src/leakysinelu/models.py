@@ -190,7 +190,9 @@ def forward(
             f"input length {flat.shape[1]} does not match spec ({spec.input_length})"
         )
     pt = param_tensors if param_tensors is not None else wrap_params(state)
-    cur = ad.Tensor(flat if spec.architecture == "mlp" else flat[:, None, :])
+    # The FCN body is channel-major, (C, B, L), up to global_avg_pool, which
+    # hands (B, C) to the head. The data batch needs no gradient.
+    cur = ad.Tensor(flat if spec.architecture == "mlp" else flat[None], requires_grad=False)
     for i, layer in enumerate(spec.layers):
         kind = layer["type"]
         if kind == "dropout":
@@ -253,8 +255,9 @@ def load_checkpoint(path):
     """Read back (spec, state, optimizer_state) from save_checkpoint.
 
     DataError, naming the path, for a missing file, one that is not an .npz
-    archive, one without readable metadata, another checkpoint format, or
-    no optimizer state (which save_checkpoint always writes).
+    archive, one without readable metadata, another checkpoint format, no
+    optimizer state (which save_checkpoint always writes), or metadata that
+    lacks a spec field, the seed or an optimizer key.
     """
     from .optim import OptimizerState
 
@@ -274,7 +277,12 @@ def load_checkpoint(path):
             raise DataError(f"{path}: unsupported checkpoint format {found!r}")
         if "optimizer" not in meta:
             raise DataError(f"{path}: checkpoint has no optimizer state")
-        spec = ModelSpec.from_json(json.dumps(meta["spec"]))
+        try:
+            spec = ModelSpec.from_json(json.dumps(meta["spec"]))
+            seed = meta["seed"]
+            hyper, step_count = meta["optimizer"]["hyper"], meta["optimizer"]["step_count"]
+        except KeyError as exc:
+            raise DataError(f"{path}: checkpoint metadata has no {exc}") from exc
         params, buffers, slots = {}, {}, {}
         for key in blob.files:
             if key.startswith("param/"):
@@ -284,10 +292,6 @@ def load_checkpoint(path):
             elif key.startswith("opt/"):
                 _, name, slot = key.split("/", 2)
                 slots.setdefault(name, {})[slot] = blob[key]
-        state = ModelState(params=params, buffers=buffers, seed=meta["seed"])
-        opt_state = OptimizerState(
-            hyper=meta["optimizer"]["hyper"],
-            slots=slots,
-            step_count=meta["optimizer"]["step_count"],
-        )
+        state = ModelState(params=params, buffers=buffers, seed=seed)
+        opt_state = OptimizerState(hyper=hyper, slots=slots, step_count=step_count)
     return spec, state, opt_state

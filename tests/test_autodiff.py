@@ -70,23 +70,23 @@ class TestConv1d:
 
     def test_even_kernel_preserves_length(self):
         rng = np.random.default_rng(1)
-        x = ad.Tensor(rng.normal(size=(2, 3, 10)))
+        x = ad.Tensor(rng.normal(size=(3, 2, 10)))
         out = ad.conv1d_same(x, ad.Tensor(rng.normal(size=(5, 3, 8))), ad.Tensor(np.zeros(5)))
-        assert out.data.shape == (2, 5, 10)
+        assert out.data.shape == (5, 2, 10)
 
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError):
             ad.conv1d_same(
-                ad.Tensor(np.zeros((1, 2, 5))), ad.Tensor(np.zeros((3, 1, 3))),
+                ad.Tensor(np.zeros((2, 1, 5))), ad.Tensor(np.zeros((3, 1, 3))),
                 ad.Tensor(np.zeros(3)),
             )
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(2)
-        x = ad.Tensor(rng.normal(size=(2, 3, 7)))
+        x = ad.Tensor(rng.normal(size=(3, 2, 7)))
         w = ad.Tensor(rng.normal(size=(4, 3, 5)))
         b = ad.Tensor(rng.normal(size=4))
-        target = rng.normal(size=(2, 4, 7))
+        target = rng.normal(size=(4, 2, 7))
 
         def build(tape):
             return ad.mse(ad.conv1d_same(x, w, b, tape), target, tape)
@@ -100,22 +100,22 @@ class TestPooling:
         assert out.data.tolist() == [[2.0]]
 
     def test_constant_series(self):
-        out = ad.global_avg_pool(ad.Tensor(np.full((2, 3, 5), 7.5)))
+        out = ad.global_avg_pool(ad.Tensor(np.full((3, 2, 5), 7.5)))
         assert np.array_equal(out.data, np.full((2, 3), 7.5))
 
     def test_gradient_is_uniform(self):
-        x = ad.Tensor(np.arange(12.0).reshape(1, 2, 6))
+        x = ad.Tensor(np.arange(12.0).reshape(2, 1, 6))
         tape = ad.Tape()
         out = ad.global_avg_pool(x, tape)
         loss = ad.mse(out, np.zeros((1, 2)), tape)
         tape.backward(loss)
-        expected = np.repeat(out.data[:, :, None], 6, axis=2) / 6  # 2*out/size * 1/L
+        expected = np.repeat(out.data.T[:, :, None], 6, axis=2) / 6  # 2*out/size * 1/L
         assert np.allclose(x.grad, expected / 1.0)
 
 
 class TestBatchNorm:
     def _bn(self, x, gamma, beta, training=True, tape=None):
-        rm, rv = np.zeros(x.data.shape[1]), np.ones(x.data.shape[1])
+        rm, rv = np.zeros(x.data.shape[0]), np.ones(x.data.shape[0])
         return ad.batch_norm1d(x, gamma, beta, rm, rv, training, tape)
 
     def test_already_standardized(self):
@@ -125,20 +125,20 @@ class TestBatchNorm:
 
     def test_zero_gamma_gives_beta(self):
         rng = np.random.default_rng(3)
-        x = ad.Tensor(rng.normal(size=(2, 3, 4)))
+        x = ad.Tensor(rng.normal(size=(3, 2, 4)))
         out = self._bn(x, ad.Tensor(np.zeros(3)), ad.Tensor(np.full(3, 0.7)))
         assert np.allclose(out.data, 0.7)
 
     def test_needs_more_than_one_value(self):
         with pytest.raises(ShapeError):
-            self._bn(ad.Tensor(np.ones((1, 2, 1))), ad.Tensor(np.ones(2)), ad.Tensor(np.zeros(2)))
+            self._bn(ad.Tensor(np.ones((2, 1, 1))), ad.Tensor(np.ones(2)), ad.Tensor(np.zeros(2)))
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(4)
-        x = ad.Tensor(rng.normal(size=(2, 3, 4)))
+        x = ad.Tensor(rng.normal(size=(3, 2, 4)))
         gamma = ad.Tensor(rng.uniform(0.5, 1.5, size=3))
         beta = ad.Tensor(rng.normal(size=3))
-        target = rng.normal(size=(2, 3, 4))
+        target = rng.normal(size=(3, 2, 4))
 
         def build(tape):
             return ad.mse(self._bn(x, gamma, beta, tape=tape), target, tape)
@@ -150,15 +150,15 @@ class TestBatchNorm:
         x = ad.Tensor(rng.normal(size=(2, 2, 3)))
         rm, rv = np.array([1.0, -1.0]), np.array([4.0, 0.25])
         out = ad.batch_norm1d(x, ad.Tensor(np.ones(2)), ad.Tensor(np.zeros(2)), rm, rv, False)
-        expected = (x.data - rm[None, :, None]) / np.sqrt(rv[None, :, None] + 1e-5)
+        expected = (x.data - rm[:, None, None]) / np.sqrt(rv[:, None, None] + 1e-5)
         assert np.allclose(out.data, expected)
 
     def test_running_stats_updated_in_training(self):
         rng = np.random.default_rng(6)
-        x = ad.Tensor(rng.normal(loc=3.0, size=(4, 2, 8)))
+        x = ad.Tensor(rng.normal(loc=3.0, size=(2, 4, 8)))
         rm, rv = np.zeros(2), np.ones(2)
         ad.batch_norm1d(x, ad.Tensor(np.ones(2)), ad.Tensor(np.zeros(2)), rm, rv, True)
-        assert np.allclose(rm, 0.1 * x.data.mean(axis=(0, 2)))
+        assert np.allclose(rm, 0.1 * x.data.mean(axis=(1, 2)))
 
 
 class TestDropout:
@@ -250,9 +250,9 @@ class TestActivate:
 
     def test_snake_parameter_gradient(self):
         rng = np.random.default_rng(12)
-        x = ad.Tensor(rng.normal(size=(2, 3, 5)))
+        x = ad.Tensor(rng.normal(size=(3, 2, 5)))
         a = ad.Tensor(np.full(3, 1.0))
-        target = rng.normal(size=(2, 3, 5))
+        target = rng.normal(size=(3, 2, 5))
         kind = zoo.activation("snake", learnable=("a",))
 
         def build(tape):

@@ -1,10 +1,11 @@
 """The fast paths of the FCN step against the plain formulas they replaced.
 
-The conv kernels keep the forward window matrix and scatter the input
-gradient channels-last, batch norm works in place, and LeakySineLU fills one
-output buffer. None of that may change a single bit, so each test below
-compares against a verbatim copy of the earlier, allocation-heavy formula
-with ``np.array_equal`` (and, for the activation, the sign of zero too).
+The conv kernels build the window matrix without a padded copy of the input
+and keep it for the backward pass, batch norm works in place, and
+LeakySineLU fills one output buffer. None of that may change a single bit,
+so each test below compares against a copy of the plain, allocation-heavy
+formula in the same (C, B, L) layout with ``np.array_equal`` (and, for the
+activation, the sign of zero too).
 """
 
 import numpy as np
@@ -18,36 +19,31 @@ from leakysinelu import kernels, models
 # ---- the earlier formulas, kept verbatim as oracles ----
 
 def ref_cols(xp, k_width):
-    b, cin, lp = xp.shape
+    cin, b, lp = xp.shape
     length = lp - k_width + 1
     win = np.lib.stride_tricks.sliding_window_view(xp, k_width, axis=2)
-    return win.transpose(0, 2, 1, 3).reshape(b * length, cin * k_width)
+    return win.transpose(0, 3, 1, 2).reshape(cin * k_width, b * length)
 
 
 def ref_conv1d_forward(xp, w):
-    b, _, lp = xp.shape
     cout, cin, k_width = w.shape
-    length = lp - k_width + 1
-    out = ref_cols(xp, k_width) @ w.reshape(cout, cin * k_width).T
-    return np.ascontiguousarray(out.reshape(b, length, cout).transpose(0, 2, 1))
+    return w.reshape(cout, cin * k_width) @ ref_cols(xp, k_width)
 
 
 def ref_conv1d_grad_kernel(g, xp, k_width):
-    b, cout, length = g.shape
-    cin = xp.shape[1]
-    gm = g.transpose(0, 2, 1).reshape(b * length, cout)
-    dw = gm.T @ ref_cols(xp, k_width)
-    return dw.reshape(cout, cin, k_width)
+    cout, b, length = g.shape
+    dw = g.reshape(cout, b * length) @ ref_cols(xp, k_width).T
+    return dw.reshape(cout, xp.shape[0], k_width)
 
 
 def ref_conv1d_grad_input(g, w, lp):
-    b, cout, length = g.shape
+    cout, b, length = g.shape
     cin, k_width = w.shape[1], w.shape[2]
-    gm = g.transpose(0, 2, 1).reshape(b * length, cout)
-    t = (gm @ w.reshape(cout, cin * k_width)).reshape(b, length, cin, k_width)
-    dxp = np.zeros((b, cin, lp))
+    t = (w.reshape(cout, cin * k_width).T @ g.reshape(cout, b * length))
+    t = t.reshape(cin, k_width, b, length)
+    dxp = np.zeros((cin, b, lp))
     for j in range(k_width):
-        dxp[:, :, j : j + length] += t[:, :, :, j].transpose(0, 2, 1)
+        dxp[:, :, j : j + length] += t[:, j]
     return dxp
 
 
@@ -64,10 +60,10 @@ def ref_leakysinelu_deriv(x):
 def ref_batch_norm1d(x, gamma, beta, running_mean, running_var, training, g,
                      momentum=0.1, eps=1e-5):
     """(out, dx, dgamma, dbeta); updates the running arrays in training mode."""
-    n = x.shape[0] * x.shape[2]
+    n = x.shape[1] * x.shape[2]
     if training:
-        mean = x.mean(axis=(0, 2))
-        var = x.var(axis=(0, 2))
+        mean = x.mean(axis=(1, 2))
+        var = x.var(axis=(1, 2))
         running_mean *= 1.0 - momentum
         running_mean += momentum * mean
         running_var *= 1.0 - momentum
@@ -76,17 +72,17 @@ def ref_batch_norm1d(x, gamma, beta, running_mean, running_var, training, g,
         mean = running_mean
         var = running_var
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mean[None, :, None]) * inv[None, :, None]
-    out = gamma[None, :, None] * xhat + beta[None, :, None]
-    dgamma = (g * xhat).sum(axis=(0, 2))
-    dbeta = g.sum(axis=(0, 2))
-    dxhat = g * gamma[None, :, None]
+    xhat = (x - mean[:, None, None]) * inv[:, None, None]
+    out = gamma[:, None, None] * xhat + beta[:, None, None]
+    dgamma = (g * xhat).sum(axis=(1, 2))
+    dbeta = g.sum(axis=(1, 2))
+    dxhat = g * gamma[:, None, None]
     if training:
-        s1 = dxhat.sum(axis=(0, 2))[None, :, None]
-        s2 = (dxhat * xhat).sum(axis=(0, 2))[None, :, None]
-        dx = inv[None, :, None] / n * (n * dxhat - s1 - xhat * s2)
+        s1 = dxhat.sum(axis=(1, 2))[:, None, None]
+        s2 = (dxhat * xhat).sum(axis=(1, 2))[:, None, None]
+        dx = inv[:, None, None] / n * (n * dxhat - s1 - xhat * s2)
     else:
-        dx = dxhat * inv[None, :, None]
+        dx = dxhat * inv[:, None, None]
     return out, dx, dgamma, dbeta
 
 
@@ -113,16 +109,19 @@ CONV_SHAPES = [  # (B, Cin, Cout, L, K): small odd shapes, then the FCN's own
 @pytest.mark.parametrize("b_sz, cin, cout, length, k_width", CONV_SHAPES)
 def test_conv_kernels_equal_the_earlier_formulas(b_sz, cin, cout, length, k_width):
     rng = np.random.default_rng(cin * 100 + k_width)
-    xp = rng.normal(size=(b_sz, cin, length + k_width - 1))
+    pad_left = (k_width - 1) // 2
+    x = rng.normal(size=(cin, b_sz, length))
+    xp = np.pad(x, ((0, 0), (0, 0), (pad_left, k_width - 1 - pad_left)))
     w = rng.normal(size=(cout, cin, k_width))
-    g = rng.normal(size=(b_sz, cout, length))
-    out, cols = kernels.conv1d_forward(xp, w)
+    g = rng.normal(size=(cout, b_sz, length))
+    out, cols = kernels.conv1d_forward(x, w, pad_left)
     assert np.array_equal(out, ref_conv1d_forward(xp, w))
     assert np.array_equal(cols, ref_cols(xp, k_width))
     assert np.array_equal(kernels.conv1d_grad_kernel(g, cols, k_width),
                           ref_conv1d_grad_kernel(g, xp, k_width))
-    assert np.array_equal(kernels.conv1d_grad_input(g, w, xp.shape[2]),
-                          ref_conv1d_grad_input(g, w, xp.shape[2]))
+    dxp = ref_conv1d_grad_input(g, w, xp.shape[2])
+    assert np.array_equal(kernels.conv1d_grad_input(g, w, pad_left),
+                          dxp[:, :, pad_left : pad_left + length])
 
 
 # ---- LeakySineLU ----
@@ -160,14 +159,14 @@ def test_activate_backward_equals_derivative_times_gradient():
 
 # ---- batch norm ----
 
-@pytest.mark.parametrize("shape", [(4, 3, 5), (16, 128, 128), (1, 2, 2)])
+@pytest.mark.parametrize("shape", [(3, 4, 5), (128, 16, 128), (2, 1, 2)])
 @pytest.mark.parametrize("training", [True, False])
 def test_batch_norm_equals_the_earlier_formulas(shape, training):
-    rng = np.random.default_rng(shape[1])
+    rng = np.random.default_rng(shape[0])
     x = rng.normal(loc=0.3, scale=2.0, size=shape)
-    gamma, beta = rng.normal(size=shape[1]), rng.normal(size=shape[1])
+    gamma, beta = rng.normal(size=shape[0]), rng.normal(size=shape[0])
     g = rng.normal(size=shape)
-    run_mean, run_var = rng.normal(size=shape[1]), rng.random(shape[1]) + 0.5
+    run_mean, run_var = rng.normal(size=shape[0]), rng.random(shape[0]) + 0.5
     want_mean, want_var = run_mean.copy(), run_var.copy()
     want = ref_batch_norm1d(x, gamma, beta, want_mean, want_var, training, g)
 
@@ -184,21 +183,28 @@ def test_batch_norm_equals_the_earlier_formulas(shape, training):
 # ---- one window matrix per conv layer per step ----
 
 def test_fcn_step_builds_each_window_matrix_once(monkeypatch):
-    # Every window matrix is a sliding_window_view of the padded input;
-    # the backward pass reuses the forward's instead of building its own.
-    builds = []
-    original = np.lib.stride_tricks.sliding_window_view
+    # Only conv1d_forward builds a window matrix; the backward pass hands the
+    # forward's own array to conv1d_grad_kernel instead of building another.
+    built, used = [], []
+    forward, grad_kernel = kernels.conv1d_forward, kernels.conv1d_grad_kernel
 
-    def spy(*args, **kwargs):
-        builds.append(args[0].shape)
-        return original(*args, **kwargs)
+    def forward_spy(*args):
+        out, cols = forward(*args)
+        built.append(cols)
+        return out, cols
 
-    monkeypatch.setattr(np.lib.stride_tricks, "sliding_window_view", spy)
+    def grad_kernel_spy(g, cols, k_width):
+        used.append(cols)
+        return grad_kernel(g, cols, k_width)
+
+    monkeypatch.setattr(kernels, "conv1d_forward", forward_spy)
+    monkeypatch.setattr(kernels, "conv1d_grad_kernel", grad_kernel_spy)
     spec = models.build_fcn(16, 3, "leakysinelu")
     state = models.init_params(spec, 0)
     rng = np.random.default_rng(0)
     tape = ad.Tape()
     logits = models.forward(spec, state, rng.normal(size=(4, 16)), tape=tape, training=True)
     tape.backward(ad.softmax_xent(logits, np.array([0, 1, 2, 0]), tape))
-    assert len(builds) == 3
-    assert [s[1] for s in builds] == [1, 128, 256]
+    assert [c.shape for c in built] == [(1 * 8, 64), (128 * 5, 64), (256 * 3, 64)]
+    assert len(used) == 3
+    assert all(u is c for u, c in zip(used, reversed(built)))

@@ -15,15 +15,15 @@ KERNEL_NAMES = (
 
 
 def direct_conv(xp, w):
-    """out[b, o, t] = sum_{c, j} xp[b, c, t + j] * w[o, c, j]."""
-    b_sz, cin, lp = xp.shape
+    """out[o, b, t] = sum_{c, j} xp[c, b, t + j] * w[o, c, j]."""
+    cin, b_sz, lp = xp.shape
     cout, _, k_width = w.shape
-    out = np.zeros((b_sz, cout, lp - k_width + 1))
+    out = np.zeros((cout, b_sz, lp - k_width + 1))
     for b in range(b_sz):
         for o in range(cout):
             for t in range(out.shape[2]):
-                out[b, o, t] = sum(
-                    xp[b, c, t + j] * w[o, c, j] for c in range(cin) for j in range(k_width)
+                out[o, b, t] = sum(
+                    xp[c, b, t + j] * w[o, c, j] for c in range(cin) for j in range(k_width)
                 )
     return out
 
@@ -33,24 +33,29 @@ class TestConv:
     def test_forward_and_gradients_match_direct_sums(self, k_width):
         rng = np.random.default_rng(k_width)
         b_sz, cin, cout, length = 2, 3, 2, 5
-        xp = rng.normal(size=(b_sz, cin, length + k_width - 1))
+        x = rng.normal(size=(cin, b_sz, length))
         w = rng.normal(size=(cout, cin, k_width))
-        g = rng.normal(size=(b_sz, cout, length))
-        out, cols = kernels.conv1d_forward(xp, w)
-        np.testing.assert_allclose(out, direct_conv(xp, w), rtol=1e-12, atol=1e-12)
-        # The output is linear in xp and in w, so <g, conv(xp, w)> has gradient
-        # sum_t g[b, o, t] w[o, c, j] at xp[b, c, t + j] and g * xp at w.
-        dxp = np.zeros_like(xp)
-        dw = np.zeros_like(w)
-        for b in range(b_sz):
-            for o in range(cout):
-                for t in range(length):
-                    dxp[b, :, t : t + k_width] += g[b, o, t] * w[o]
-                    dw[o] += g[b, o, t] * xp[b, :, t : t + k_width]
-        np.testing.assert_allclose(kernels.conv1d_grad_input(g, w, xp.shape[2]), dxp,
-                                   rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(kernels.conv1d_grad_kernel(g, cols, k_width), dw,
-                                   rtol=1e-12, atol=1e-12)
+        g = rng.normal(size=(cout, b_sz, length))
+        # "same" padding, and all of it on one side
+        for pad_left in sorted({(k_width - 1) // 2, 0, k_width - 1}):
+            xp = np.pad(x, ((0, 0), (0, 0), (pad_left, k_width - 1 - pad_left)))
+            out, cols = kernels.conv1d_forward(x, w, pad_left)
+            np.testing.assert_allclose(out.reshape(cout, b_sz, length), direct_conv(xp, w),
+                                       rtol=1e-12, atol=1e-12)
+            # The output is linear in xp and in w, so <g, conv(xp, w)> has gradient
+            # sum_t g[o, b, t] w[o, c, j] at xp[c, b, t + j] and g * xp at w.
+            dxp = np.zeros_like(xp)
+            dw = np.zeros_like(w)
+            for b in range(b_sz):
+                for o in range(cout):
+                    for t in range(length):
+                        dxp[:, b, t : t + k_width] += g[o, b, t] * w[o]
+                        dw[o] += g[o, b, t] * xp[:, b, t : t + k_width]
+            np.testing.assert_allclose(kernels.conv1d_grad_input(g, w, pad_left),
+                                       dxp[:, :, pad_left : pad_left + length],
+                                       rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(kernels.conv1d_grad_kernel(g, cols, k_width), dw,
+                                       rtol=1e-12, atol=1e-12)
 
 
 class TestUpdates:
@@ -112,7 +117,7 @@ class TestModule:
             monkeypatch.setattr(kernels, name, spy)
         rng = np.random.default_rng(0)
         tape = ad.Tape()
-        x = ad.Tensor(rng.normal(size=(2, 1, 6)))
+        x = ad.Tensor(rng.normal(size=(1, 2, 6)))
         w = ad.Tensor(rng.normal(size=(3, 1, 3)))
         b = ad.Tensor(np.zeros(3))
         out = ad.conv1d_same(x, w, b, tape)

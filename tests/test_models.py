@@ -198,6 +198,21 @@ class TestSerialization:
         with pytest.raises(DataError, match="ckpt.npz: checkpoint has no optimizer state"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("where, key", [
+        ((), "seed"), (("spec",), "layers"), (("spec",), "activation"),
+        (("optimizer",), "hyper"), (("optimizer",), "step_count"),
+    ])
+    def test_checkpoint_metadata_missing_a_key_is_a_data_error(self, tmp_path, where, key):
+        def drop(meta):
+            for name in where:
+                meta = meta[name]
+            meta.pop(key)
+
+        path = tmp_path / "ckpt.npz"
+        self._save_edited(path, drop)
+        with pytest.raises(DataError, match=f"ckpt.npz: checkpoint metadata has no '{key}'"):
+            load_checkpoint(path)
+
     def test_missing_checkpoint_is_a_data_error(self, tmp_path):
         with pytest.raises(DataError, match="absent.npz: cannot read checkpoint"):
             load_checkpoint(tmp_path / "absent.npz")
