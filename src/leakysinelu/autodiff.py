@@ -40,7 +40,8 @@ class Tensor:
     """A float64 array plus its accumulated gradient.
 
     With ``requires_grad=False`` (a model's data batch) no gradient is
-    computed for it or stored in ``.grad``.
+    stored in ``.grad``, and ``conv1d_same`` does not compute one. An op's
+    output always requires a gradient.
     """
 
     __slots__ = ("data", "grad", "requires_grad")
@@ -126,8 +127,7 @@ def affine(x: Tensor, w: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
     out_data = x.data @ w.data + b.data
 
     def bwd(g):
-        if x.requires_grad:
-            _accumulate(x, g @ w.data.T, "affine")
+        _accumulate(x, g @ w.data.T, "affine")
         _accumulate(w, x.data.T @ g, "affine")
         _accumulate(b, g.sum(axis=0), "affine")
 

@@ -16,7 +16,10 @@ from leakysinelu import autodiff as ad
 from leakysinelu import kernels, models
 
 
-# ---- the earlier formulas, kept verbatim as oracles ----
+# ---- the plain (C, B, L) formulas ----
+# The conv references run the same GEMM as the kernels, so their array_equal
+# checks the window-matrix build and col2im. tests/test_layout.py compares a
+# whole step with the earlier (B, C, L) formulas.
 
 def ref_cols(xp, k_width):
     cin, b, lp = xp.shape

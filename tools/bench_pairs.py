@@ -6,10 +6,11 @@ Usage (from the repository root):
         --pairs 10 --seeds 1-5 --digest-seeds 1-10
 
 The parent is extracted with ``git archive <rev> | tar -x`` into a temporary
-directory (git state is not touched); the change is the working tree. Pair i
-runs seed ``seeds[i % len(seeds)]`` on both sides, the parent first when i is
-even. ``--digest-seeds`` adds one ``--seconds 1`` run per side and seed, to
-compare the determinism digests. Results go to ``BENCH_<topic>.json`` at the root:
+directory (git state is not touched); the change is the working tree. Each
+run lasts BENCHMARK.json's ``run_seconds``. Pair i runs seed
+``seeds[i % len(seeds)]`` on both sides, the parent first when i is even.
+``--digest-seeds`` adds one ``--seconds 1`` run per side and seed, to compare
+the determinism digests. Results go to ``BENCH_<topic>.json`` at the root:
 the per-pair metric values, each side's median, the parent's interquartile
 range, how many pairs the change won and lost (by BENCHMARK.json's
 ``better``), the digests and the machine stamp. An existing file is updated
@@ -46,7 +47,6 @@ def parse_args(argv):
     p.add_argument("--workload", required=True, choices=["fcn_cell", "mlp_cell", "sweep"])
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seeds", type=parse_seeds, default=[1])
-    p.add_argument("--seconds", type=float, default=30.0)
     p.add_argument("--digest-seeds", type=parse_seeds, default=[])
     return p.parse_args(argv)
 
@@ -121,7 +121,7 @@ def main(argv=None) -> int:
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             pair = {"seed": seed, "first": order[0]}
             for side in order:
-                run = run_once(sides[side], args.workload, seed, args.seconds)
+                run = run_once(sides[side], args.workload, seed, spec["run_seconds"])
                 pair[side] = run["values"]
                 env = env or run["env"]
             pairs.append(pair)
@@ -140,7 +140,7 @@ def main(argv=None) -> int:
 
     doc["topic"] = args.topic
     doc["command"] = "python3 perfbench/run.py --workload <w> --seed <s> --seconds " \
-                     f"{args.seconds:g} --trace 0"
+                     f"{spec['run_seconds']:g} --trace 0"
     doc["method"] = ("alternating parent/change pairs, each side run from its own tree; "
                      "pair i runs the parent first when i is even. Digests: one run per "
                      "side with --seconds 1.")
