@@ -13,6 +13,10 @@ trainable set, and its kink slopes. Adding an activation means adding one
 record, and nothing outside this file.
 
 scipy is imported on first use, by GELU only, so a cell without GELU skips its import.
+
+LeakySineLU, which every model layer runs, takes one float64 tan per element
+and no sin: sin^2 x = T^2 / (1 + T^2) and sin 2x = 2T / (1 + T^2) with
+T = tan(x). See the note above its formulas for the costs and the accuracy.
 """
 
 from __future__ import annotations
@@ -107,21 +111,33 @@ def _ndtr(x):
     return ndtr(x)
 
 
-# The two LeakySineLU formulas work in one output buffer (out= keeps a 0-d
-# input a 0-d array) and halve only the negative branch (where=).
+# The two LeakySineLU formulas are written in T = tan(x):
+#   sin^2 x = T^2 / (1 + T^2),   sin 2x = 2T / (1 + T^2).
+# numpy 2.4 vectorises float64 tan with AVX-512 (SVML) but sends float64 sin
+# to scalar libm: on a 2-vCPU AVX-512 x86-64, tan costs 2.5 to 2.7 ns per
+# element and sin 15 to 23 ns. A build or CPU without the vectorised tan pays
+# 21 to 27 ns per tan, about what sin costs. Against the sin formulas the
+# value stays within 7.8e-16 relative and the derivative within 4.4e-16
+# absolute on both paths (tests/test_leakysinelu_accuracy.py holds them to
+# 2e-15). Each formula fills one output buffer (out= keeps a 0-d input a 0-d
+# array) and halves only the negative branch (where=).
 def _leakysinelu(x):
-    s = np.sin(x, out=np.empty_like(x))
+    s = np.tan(x, out=np.empty_like(x))
     np.square(s, out=s)
+    np.divide(s, s + 1.0, out=s)
     s += x
     return np.multiply(s, 0.5, out=s, where=~(x > 0))
 
 
 def _leakysinelu_deriv(x):
-    s = np.multiply(x, 2.0, out=np.empty_like(x))
-    np.sin(s, out=s)
-    s += 1.0
+    t = np.tan(x, out=np.empty_like(x))
+    d = np.square(t)
+    d += 1.0
+    t *= 2.0
+    t /= d
+    t += 1.0
     # Canonical sub-gradient at 0 is the positive-branch value 1.
-    return np.multiply(s, 0.5, out=s, where=~(x >= 0))
+    return np.multiply(t, 0.5, out=t, where=~(x >= 0))
 
 
 def _silu_deriv(x):

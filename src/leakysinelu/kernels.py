@@ -68,13 +68,19 @@ def conv1d_grad_kernel(g: np.ndarray, cols: np.ndarray, k_width: int) -> np.ndar
 
 def conv1d_grad_input(g: np.ndarray, w: np.ndarray, pad_left: int) -> np.ndarray:
     """d(loss)/dx, shape (Cin, B, L): one GEMM, then the window matrix's
-    gradient summed back tap by tap (col2im)."""
+    gradient summed back tap by tap (col2im).
+
+    Tap 0's slice starts at input time 0: tap 0 writes it and the times past
+    it are zeroed, then taps 1..K-1 add in order."""
     cout, b, length = g.shape
     cin, k_width = w.shape[1], w.shape[2]
     dcols = w.reshape(cout, cin * k_width).T @ g.reshape(cout, b * length)
     dcols = dcols.reshape(cin, k_width, b, length)
-    dx = np.zeros((cin, b, length))
-    for j in range(k_width):
+    dx = np.empty((cin, b, length))
+    s, lo, hi = _shift(0, pad_left, length)
+    dx[:, :, : hi + s] = dcols[:, 0, :, lo:hi]
+    dx[:, :, hi + s :] = 0.0
+    for j in range(1, k_width):
         s, lo, hi = _shift(j, pad_left, length)
         dx[:, :, lo + s : hi + s] += dcols[:, j, :, lo:hi]
     return dx

@@ -50,13 +50,17 @@ def ref_conv1d_grad_input(g, w, lp):
     return dxp
 
 
+# LeakySineLU in T = tan(x); tests/test_leakysinelu_accuracy.py holds these
+# to the sin formulas.
 def ref_leakysinelu(x):
-    s = np.square(np.sin(x)) + x
+    u = np.square(np.tan(x))
+    s = u / (1.0 + u) + x
     return np.where(x > 0, s, 0.5 * s)
 
 
 def ref_leakysinelu_deriv(x):
-    s = np.sin(2.0 * x) + 1.0
+    t = np.tan(x)
+    s = 2.0 * t / (1.0 + np.square(t)) + 1.0
     return np.where(x >= 0, s, 0.5 * s)
 
 

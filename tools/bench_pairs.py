@@ -13,8 +13,9 @@ run lasts BENCHMARK.json's ``run_seconds``. Pair i runs seed
 the determinism digests. Results go to ``BENCH_<topic>.json`` at the root:
 the per-pair metric values, each side's median, the parent's interquartile
 range, how many pairs the change won and lost (by BENCHMARK.json's
-``better``), the digests and the machine stamp. An existing file is updated
-in place, one workload at a time, so several calls can fill one file.
+``better``), each side's failed runs and failed operations, the digests and
+the machine stamp. An existing file is updated in place, one workload at a
+time, so several calls can fill one file.
 Standard library only.
 """
 
@@ -104,6 +105,10 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
                      "change_median": round(statistics.median(change), 4),
                      "parent_iqr": round(iqr(parent), 4), "change_wins": wins,
                      "change_losses": losses}
+    # A pair's metrics mean nothing if its run failed its output checks.
+    out["failed"] = {side: {"runs": sum(not p[side]["correct"] for p in pairs),
+                            "operations": sum(p[side]["failed"] for p in pairs)}
+                     for side in ("parent", "change")}
     return out
 
 
