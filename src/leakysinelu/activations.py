@@ -14,9 +14,9 @@ record, and nothing outside this file.
 
 scipy is imported on first use, by GELU only, so a cell without GELU skips its import.
 
-LeakySineLU, which every model layer runs, takes one float64 tan per element
-and no sin: sin^2 x = T^2 / (1 + T^2) and sin 2x = 2T / (1 + T^2) with
-T = tan(x). See the note above its formulas for the costs and the accuracy.
+LeakySineLU, which every model layer runs, is Snake at a = 1, halved for x <= 0.
+Both take one float64 tan per element: sin^2 y = T^2 / (1 + T^2) and
+sin 2y = 2T / (1 + T^2) with T = tan(y). Only sine takes a sin; see the note below.
 """
 
 from __future__ import annotations
@@ -111,33 +111,33 @@ def _ndtr(x):
     return ndtr(x)
 
 
-# The two LeakySineLU formulas are written in T = tan(x):
-#   sin^2 x = T^2 / (1 + T^2),   sin 2x = 2T / (1 + T^2).
-# numpy 2.4 vectorises float64 tan with AVX-512 (SVML) but sends float64 sin
-# to scalar libm: on a 2-vCPU AVX-512 x86-64, tan costs 2.5 to 2.7 ns per
-# element and sin 15 to 23 ns. A build or CPU without the vectorised tan pays
-# 21 to 27 ns per tan, about what sin costs. Against the sin formulas the
-# value stays within 7.8e-16 relative and the derivative within 4.4e-16
+# Snake and LeakySineLU (halved Snake at a = 1) are written in T = tan(y):
+#   sin^2 y = T^2 / (1 + T^2),   sin 2y = 2T / (1 + T^2).
+# numpy 2.4 vectorises float64 tan with AVX-512 (SVML), 2.5 to 2.7 ns per
+# element on a 2-vCPU x86-64, but sends float64 sin to scalar libm (15 to 23 ns);
+# without that tan, a tan costs about what a sin does (21 to 27 ns). Against the
+# sin formulas values stay within 9.4e-16 relative and derivatives within 4.4e-16
 # absolute on both paths (tests/test_leakysinelu_accuracy.py holds them to
-# 2e-15). Each formula fills one output buffer (out= keeps a 0-d input a 0-d
-# array) and halves only the negative branch (where=).
-def _leakysinelu(x):
-    s = np.tan(x, out=np.empty_like(x))
+# 2e-15). Each formula fills one new buffer (out= keeps a 0-d input 0-d).
+def _sin_squared(y):
+    s = np.tan(y, out=np.empty_like(y))
     np.square(s, out=s)
-    np.divide(s, s + 1.0, out=s)
-    s += x
-    return np.multiply(s, 0.5, out=s, where=~(x > 0))
+    return np.divide(s, s + 1.0, out=s)
 
 
-def _leakysinelu_deriv(x):
-    t = np.tan(x, out=np.empty_like(x))
-    d = np.square(t)
-    d += 1.0
+def _sin_doubled(y):
+    t = np.tan(y, out=np.empty_like(y))
+    d = np.square(t) + 1.0
     t *= 2.0
-    t /= d
-    t += 1.0
-    # Canonical sub-gradient at 0 is the positive-branch value 1.
-    return np.multiply(t, 0.5, out=t, where=~(x >= 0))
+    return np.divide(t, d, out=t)
+
+
+def _leaky(v, plus, keep):
+    """v + plus in place, halved where ``keep`` is False by one multiply with 0.5
+    (exactly 1.0 elsewhere): a masked loop mispredicts per element of mixed sign."""
+    v += plus
+    v *= 0.5 + 0.5 * keep
+    return v
 
 
 def _silu_deriv(x):
@@ -223,17 +223,17 @@ _REGISTRY: dict[str, _Entry] = {
         limits=(0.0, _INF), monotonic=False,
     ),
     "snake": _Entry(
-        value=lambda x, p: x + np.square(np.sin(p["a"] * x)) / p["a"],
-        derivative=lambda x, p: 1.0 + np.sin(2.0 * p["a"] * x),
+        value=lambda x, p: x + _sin_squared(p["a"] * x) / p["a"],
+        derivative=lambda x, p: 1.0 + _sin_doubled(p["a"] * x),
         limits=(-_INF, _INF), monotonic=True, period=lambda p: math.pi / abs(p["a"]),
         defaults={"a": 1.0},
-        param_derivative=lambda x, p: (x * np.sin(2.0 * p["a"] * x) / p["a"]
-                                       - np.square(np.sin(p["a"] * x)) / np.square(p["a"])),
+        param_derivative=lambda x, p: (x * _sin_doubled(p["a"] * x) / p["a"]
+                                       - _sin_squared(p["a"] * x) / np.square(p["a"])),
         check=lambda p: "snake a must be nonzero" if p["a"] == 0 else None,
     ),
     "leakysinelu": _Entry(
-        value=lambda x, p: _leakysinelu(x),
-        derivative=lambda x, p: _leakysinelu_deriv(x),
+        value=lambda x, p: _leaky(_sin_squared(x), x, x > 0),
+        derivative=lambda x, p: _leaky(_sin_doubled(x), 1.0, x >= 0),  # 1 at the kink
         limits=(-_INF, _INF), monotonic=True, period=lambda p: math.pi,
         # One-sided limits of sin(2x)+1 and its halved branch.
         kink_slopes=lambda p: (0.5, 1.0),

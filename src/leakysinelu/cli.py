@@ -246,7 +246,11 @@ def _trace_series(args) -> np.ndarray:
     value = args.input
     path = Path(value)
     try:
-        if path.is_file():
+        is_file = path.is_file()
+    except OSError:  # e.g. longer than a file name may be: an inline row
+        is_file = False
+    try:
+        if is_file:
             tokens = path.read_text().split()
         else:
             tokens = value.replace("\t", " ").split()

@@ -256,8 +256,9 @@ def load_checkpoint(path):
 
     DataError, naming the path, for a missing file, one that is not an .npz
     archive, one without readable metadata, another checkpoint format, no
-    optimizer state (which save_checkpoint always writes), or metadata that
-    lacks a spec field, the seed or an optimizer key.
+    optimizer state (which save_checkpoint always writes), metadata that
+    lacks a spec field, the seed or an optimizer key, or an optimizer entry
+    not named opt/<name>/<slot>.
     """
     from .optim import OptimizerState
 
@@ -290,7 +291,9 @@ def load_checkpoint(path):
             elif key.startswith("buffer/"):
                 buffers[key[7:]] = blob[key]
             elif key.startswith("opt/"):
-                _, name, slot = key.split("/", 2)
+                name, _, slot = key[4:].partition("/")
+                if not (name and slot):
+                    raise DataError(f"{path}: checkpoint entry {key!r} is not opt/<name>/<slot>")
                 slots.setdefault(name, {})[slot] = blob[key]
         state = ModelState(params=params, buffers=buffers, seed=seed)
         opt_state = OptimizerState(hyper=hyper, slots=slots, step_count=step_count)

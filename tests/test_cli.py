@@ -393,6 +393,12 @@ class TestTrace:
             run(["trace", "--activation", "relu", "--inp", value])
         assert exc.value.code == 2
 
+    def test_inline_row_longer_than_a_file_name(self, capsys):
+        # 128 values make a 511-character row, past any file system's NAME_MAX.
+        row = "\t".join(["1.5"] * 128)
+        assert run(["trace", "--activation", "leakysinelu", "--input", row]) == 0
+        assert len(capsys.readouterr().out.strip().splitlines()) == 129
+
     def test_input_file(self, tmp_path, capsys):
         p = tmp_path / "series.tsv"
         p.write_text("0.5\t-0.25\t1.0\n")

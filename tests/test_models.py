@@ -234,6 +234,19 @@ class TestSerialization:
         with pytest.raises(DataError, match="ckpt.npz: not a checkpoint: no readable 'meta'"):
             load_checkpoint(path)
 
+    def test_optimizer_entry_without_a_slot_is_a_data_error(self, tmp_path):
+        path = tmp_path / "ckpt.npz"
+        spec = build_mlp(8, 2, "relu")
+        state = init_params(spec, 0)
+        save_checkpoint(path, spec, state, Adam().init_state(state.params))
+        with np.load(path) as blob:
+            arrays = {k: blob[k] for k in blob.files}
+        key = next(k for k in arrays if k.startswith("opt/"))
+        arrays[key.rsplit("/", 1)[0]] = arrays.pop(key)
+        np.savez(path, **arrays)
+        with pytest.raises(DataError, match="ckpt.npz: checkpoint entry 'opt/[^/']+' is not"):
+            load_checkpoint(path)
+
     def test_checkpoint_of_another_format_is_a_data_error(self, tmp_path):
         path = tmp_path / "ckpt.npz"
         self._save_edited(path, lambda meta: meta.update(format=99))
