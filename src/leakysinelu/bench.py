@@ -6,6 +6,16 @@ the recipe defaults: MLP uses Adadelta (lr 1.0, 1000 epochs), FCN uses Adam
 Completed and diverged cells are cached in an append-only JSONL store keyed
 by a hash of the full cell configuration; reruns skip them. ``run_cell`` is
 the one way a cell runs: the sweep and the ``train`` command both call it.
+
+Allocation policy: ``train`` first sets glibc's mmap and trim thresholds to
+1 GiB, once per process. By default glibc unmaps each large freed array and
+hands the heap's top back to the OS, so every training step faulted its
+temporaries in again (about 1,900 minor faults per FCN step and 300 per MLP
+step at L=128, B=16, and thousands more in each cell's set-up); with the
+thresholds set, a step reuses the previous step's memory and takes none.
+Peak RSS is unchanged at L=128, but an L=1024 FCN step peaks about 9 %
+higher (736 -> 802 MB), because freed windows stay on the heap. On another
+C library the policy is left as it is.
 """
 
 from __future__ import annotations
@@ -55,6 +65,12 @@ __all__ = [
 SCHEMA_VERSION = 2
 _SETTLED = ("completed", "diverged")  # statuses a rerun cannot change
 BATCH_SIZE = 16  # rows per forward pass; none is larger than a training step's
+
+# glibc's <malloc.h> parameter numbers, and the threshold given to both.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_HEAP_THRESHOLD = 1 << 30
+_heap_kept = False  # allocation policy is per process: set it once
 
 ARCH_DEFAULTS = {
     "mlp": {"optimizer": "adadelta", "learning_rate": 1.0, "epochs": 1000, "norm_enabled": False},
@@ -180,12 +196,44 @@ def _loss(spec: ModelSpec, logits, labels, tape: Tape | None = None):
     return loss_fn(logits, labels, tape)
 
 
+def _keep_heap() -> None:
+    """Keep freed memory on the heap for the rest of the process, on glibc.
+
+    Sets ``M_MMAP_THRESHOLD`` and then ``M_TRIM_THRESHOLD`` to 1 GiB, once.
+    Either setting alone turns glibc's dynamic mmap threshold off, which
+    faults more than neither, so the trim threshold is set only if glibc
+    took the mmap one. Where ``libc.so.6`` or ``mallopt`` is missing, or
+    refuses the value, nothing is set and nothing is raised.
+    """
+    global _heap_kept
+    if _heap_kept:
+        return
+    _heap_kept = True
+    import ctypes  # here, so that a process that never trains does not load it
+
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    if mallopt(_M_MMAP_THRESHOLD, _HEAP_THRESHOLD) == 1:
+        mallopt(_M_TRIM_THRESHOLD, _HEAP_THRESHOLD)
+
+
 def train(
     spec: ModelSpec, dataset: Dataset, config: TrainConfig
 ) -> tuple[ModelState, list[float], object]:
     """Run the full epoch budget; returns (state, per-epoch loss history,
     optimizer state). Deterministic given the config seed; raises
-    DivergenceError at the first non-finite loss."""
+    DivergenceError at the first non-finite loss.
+
+    Before the first step of a process it sets glibc's allocation policy
+    (``_keep_heap``): a step's freed temporaries stay on the heap for the
+    next step, so no step page-faults them in again. That costs no peak RSS
+    at L=128 and about 9 % at L=1024, and it changes no number.
+    """
+    _keep_heap()
     if dataset.length != spec.input_length:
         raise ShapeError(
             f"dataset length {dataset.length} does not match spec ({spec.input_length})"
@@ -370,11 +418,12 @@ def run_sweep(
 ) -> SweepOutcome:
     """Train every (dataset x activation) cell not already settled.
 
-    Cells run independently (optionally in ``jobs`` worker processes); each
-    failure is recorded without aborting the sweep, and the returned records
-    hold one record per distinct cell in (dataset, activation) order. A worker
-    that dies breaks the pool: every cell whose record had not arrived is
-    recorded as failed, so the next sweep runs it again.
+    Cells run independently, in min(``jobs``, pending cells) worker processes,
+    or in this process when that is 1; each failure is recorded without
+    aborting the sweep, and the returned records hold one record per distinct
+    cell in (dataset, activation) order. A worker that dies breaks the pool:
+    every cell whose record had not arrived is recorded as failed, so the next
+    sweep runs it again.
     """
     dataset_names = list(dataset_names)
     activation_names = list(activation_names)
@@ -400,8 +449,10 @@ def run_sweep(
         store.append(record)
         fresh[record["config_hash"]] = record
 
-    if pending and jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    # A fork-context pool starts all its workers at the first submit.
+    workers = min(jobs, len(pending))
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(run_cell, payload) for payload in pending]
             for payload, future in zip(pending, futures):
                 try:

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import os
 
@@ -261,6 +262,44 @@ class TestSweep:
                         overrides={"epochs": 1})
         assert len(trained) == 1 and len(store.load()) == 1
         assert len(out.records) == 1 and out.n_trained == 1
+
+    def test_pool_is_no_larger_than_the_pending_cells(self, tmp_path, monkeypatch):
+        sizes, in_pool = [], []
+
+        class RecordingPool:
+            """Runs each submitted cell at once, here, and records the pool size."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, payload):
+                in_pool.append(payload["config_hash"])
+                future = concurrent.futures.Future()
+                future.set_result(fn(payload))
+                return future
+
+        def quick_cell(payload):
+            return RunResult(
+                dataset=payload["dataset"], config=payload["config"],
+                config_hash=payload["config_hash"], status="completed", accuracy=1.0,
+            ).to_record()
+
+        monkeypatch.setattr(bench.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(bench, "run_cell", quick_cell)
+        store = self._store(tmp_path)
+        three = run_sweep(["S1"], ["relu", "sine", "tanh"], "mlp", tmp_path, store, jobs=64)
+        assert sizes == [3] and len(in_pool) == 3 and three.n_trained == 3
+        # a resume with one pending cell runs it in this process
+        four = run_sweep(["S1"], ["relu", "sine", "tanh", "elu"], "mlp", tmp_path, store,
+                         jobs=64)
+        assert sizes == [3] and len(in_pool) == 3
+        assert four.n_cached == 3 and four.n_trained == 1
 
     def test_empty_lists_rejected(self, tmp_path):
         with pytest.raises(ConfigError):

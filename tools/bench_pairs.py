@@ -14,8 +14,10 @@ the determinism digests. Results go to ``BENCH_<topic>.json`` at the root:
 the per-pair metric values, each side's median, the parent's interquartile
 range, how many pairs the change won and lost (by BENCHMARK.json's
 ``better``), each side's failed runs and failed operations, the digests and
-the machine stamp. An existing file is updated in place, one workload at a
-time, so several calls can fill one file.
+the machine stamp (the report's env, the C library and its malloc environment
+variables). ``--workload`` is one of BENCHMARK.json's workloads. An existing
+file is updated in place, one workload at a time, so several calls can fill
+one file.
 Standard library only.
 """
 
@@ -23,6 +25,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import shutil
 import statistics
 import subprocess
@@ -31,6 +35,9 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# The C library and its malloc settings decide how often a step faults its
+# temporaries in, so they go into the machine stamp with the BLAS config.
+MALLOC_ENV = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_", "GLIBC_TUNABLES")
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -41,11 +48,11 @@ def parse_seeds(text: str) -> list[int]:
     return [int(s) for s in text.split(",")]
 
 
-def parse_args(argv):
+def parse_args(argv, spec: dict):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--topic", required=True, help="writes BENCH_<topic>.json")
     p.add_argument("--parent", required=True, help="git revision of the parent")
-    p.add_argument("--workload", required=True, choices=["fcn_cell", "mlp_cell", "sweep"])
+    p.add_argument("--workload", required=True, choices=[w["name"] for w in spec["workloads"]])
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seeds", type=parse_seeds, default=[1])
     p.add_argument("--digest-seeds", type=parse_seeds, default=[])
@@ -113,8 +120,8 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
 
 
 def main(argv=None) -> int:
-    args = parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    args = parse_args(argv, spec)
     out_path = ROOT / f"BENCH_{args.topic}.json"
     doc = json.loads(out_path.read_text()) if out_path.is_file() else {}
     work = Path(tempfile.mkdtemp(prefix="bench_pairs-"))
@@ -153,6 +160,8 @@ def main(argv=None) -> int:
                       "change": f"working tree on {git('rev-parse', 'HEAD')}"}
     if env is not None:
         doc["machine"] = {k: v for k, v in env.items() if k not in ("commit", "src_sha256")}
+        doc["machine"]["libc"] = " ".join(platform.libc_ver())
+        doc["machine"].update({k: os.environ.get(k) for k in MALLOC_ENV})
     if pairs:
         doc.setdefault("workloads", {})[args.workload] = {"pairs": pairs}
         doc.setdefault("summary", {})[args.workload] = summarize(pairs, spec["end_to_end"])
