@@ -196,6 +196,11 @@ def batch_norm1d(
     (population variance) and folds them into the running estimates with
     momentum ``BN_MOMENTUM``; inference mode uses the running estimates.
     ``BN_EPS`` is added to the variance.
+
+    Backward (Ioffe & Szegedy 2015): gamma is one value per channel, so
+    sum dxhat = gamma*dbeta and sum dxhat*xhat = gamma*dgamma, and training
+    mode's dx = (g - (xhat*dgamma/n + dbeta/n))*gamma*inv, with n = B*L and
+    inv = 1/sqrt(var + eps); inference mode's is dx = g*gamma*inv.
     """
     if x.data.ndim != 3:
         raise ShapeError("batch_norm1d expects (C,B,L)")
@@ -203,9 +208,8 @@ def batch_norm1d(
     n = b_sz * length
     if training and n <= 1:
         raise ShapeError("batch_norm1d training mode needs B*L > 1")
-    # The reductions are the same .sum(axis=(1, 2)) passes x.mean and x.var
-    # make, so results match them bit for bit; elementwise steps write into
-    # xhat, out_data or one scratch buffer instead of fresh temporaries.
+    # The reductions are x.mean's and x.var's .sum(axis=(1, 2)) passes, bit for
+    # bit; elementwise steps write into xhat, out_data or the backward's dx.
     if training:
         mean = x.data.mean(axis=(1, 2))
     else:
@@ -226,20 +230,16 @@ def batch_norm1d(
     out_data += beta.data[:, None, None]
 
     def bwd(g):
-        scratch = np.multiply(g, xhat)
-        _accumulate(gamma, scratch.sum(axis=(1, 2)), "batch_norm1d")
-        _accumulate(beta, g.sum(axis=(1, 2)), "batch_norm1d")
-        dx = np.multiply(g, gamma.data[:, None, None])  # dxhat, then dx in place
-        if training:
-            s1 = dx.sum(axis=(1, 2))[:, None, None]
-            s2 = np.multiply(dx, xhat, out=scratch).sum(axis=(1, 2))[:, None, None]
-            # inv / n * (n * dxhat - s1 - xhat * s2)
-            dx *= n
-            dx -= s1
-            dx -= np.multiply(xhat, s2, out=scratch)
-            dx *= inv / n
-        else:
-            dx *= inv
+        dx = np.multiply(g, xhat)  # g * xhat for dgamma, then dx in place
+        dgamma, dbeta = dx.sum(axis=(1, 2)), g.sum(axis=(1, 2))
+        _accumulate(gamma, dgamma, "batch_norm1d")
+        _accumulate(beta, dbeta, "batch_norm1d")
+        if training:  # g - (xhat * dgamma/n + dbeta/n)
+            np.multiply(xhat, (dgamma / n)[:, None, None], out=dx)
+            dx += (dbeta / n)[:, None, None]
+            np.subtract(g, dx, out=dx)
+        np.multiply(dx if training else g, gamma.data[:, None, None], out=dx)
+        dx *= inv
         _accumulate(x, dx, "batch_norm1d")
 
     return _emit(tape, "batch_norm1d", out_data, bwd)

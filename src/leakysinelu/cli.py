@@ -23,7 +23,6 @@ import numpy as np
 
 from . import __version__
 from . import activations as zoo
-from . import kernels
 from .bench import ARCH_DEFAULTS, ResultsStore, TrainConfig, cell_payload, run_cell, run_sweep
 from .data import data_root as resolve_data_root
 from .data import load_dataset_pair
@@ -52,7 +51,6 @@ def _invocation_dir(command: str, out_root: str, resolved: dict) -> Path:
         "command": command,
         "invocation_hash": digest,
         "version": __version__,
-        "kernel_backend": kernels.BACKEND,
         **resolved,
     }
     (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")

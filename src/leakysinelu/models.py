@@ -257,7 +257,8 @@ def load_checkpoint(path):
     DataError, naming the path, for a missing file, one that is not an .npz
     archive, one without readable metadata, another checkpoint format, no
     optimizer state (which save_checkpoint always writes), metadata that
-    lacks a spec field, the seed or an optimizer key, or an optimizer entry
+    lacks a spec field, the seed or an optimizer key or holds one of the
+    wrong type or value (an unknown activation, say), or an optimizer entry
     not named opt/<name>/<slot>.
     """
     from .optim import OptimizerState
@@ -284,6 +285,8 @@ def load_checkpoint(path):
             hyper, step_count = meta["optimizer"]["hyper"], meta["optimizer"]["step_count"]
         except KeyError as exc:
             raise DataError(f"{path}: checkpoint metadata has no {exc}") from exc
+        except (TypeError, ValueError, ConfigError) as exc:
+            raise DataError(f"{path}: malformed checkpoint metadata: {exc}") from exc
         params, buffers, slots = {}, {}, {}
         for key in blob.files:
             if key.startswith("param/"):

@@ -133,17 +133,48 @@ class TestBatchNorm:
         with pytest.raises(ShapeError):
             self._bn(ad.Tensor(np.ones((2, 1, 1))), ad.Tensor(np.ones(2)), ad.Tensor(np.zeros(2)))
 
-    def test_gradients_match_finite_differences(self):
+    @pytest.mark.parametrize("training", [True, False])
+    def test_gradients_match_finite_differences(self, training):
         rng = np.random.default_rng(4)
         x = ad.Tensor(rng.normal(size=(3, 2, 4)))
         gamma = ad.Tensor(rng.uniform(0.5, 1.5, size=3))
         beta = ad.Tensor(rng.normal(size=3))
         target = rng.normal(size=(3, 2, 4))
+        running = rng.normal(size=3), rng.uniform(0.5, 2.0, size=3)
 
         def build(tape):
-            return ad.mse(self._bn(x, gamma, beta, tape=tape), target, tape)
+            rm, rv = (a.copy() for a in running)  # training mode updates them
+            out = ad.batch_norm1d(x, gamma, beta, rm, rv, training, tape)
+            return ad.mse(out, target, tape)
 
         fd_check(build, [x, gamma, beta], tol=1e-5)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+                        reason="longdouble is no wider than float64 on this platform")
+    @pytest.mark.parametrize("shape", [(3, 4, 5), (128, 16, 128), (256, 16, 128)])
+    def test_training_gradient_matches_extended_precision(self, shape):
+        """Training-mode dx within 1e-15 of max |dx| of the same gradient
+        evaluated in longdouble. B*L = 2 is left out: there xhat is +-1 up to
+        rounding and dx cancels almost to nothing, so a float64 evaluation,
+        in this form or the s1/s2 one, errs by about 4e-12 of max |dx|."""
+        rng = np.random.default_rng(shape[0])
+        x = rng.normal(loc=0.3, scale=2.0, size=shape)
+        gamma, beta = rng.normal(size=shape[0]), rng.normal(size=shape[0])
+        g = rng.normal(size=shape)
+        tx = ad.Tensor(x)
+        tape = ad.Tape()
+        ad.batch_norm1d(tx, ad.Tensor(gamma), ad.Tensor(beta), np.zeros(shape[0]),
+                        np.ones(shape[0]), True, tape)
+        tape._records[-1][2](g)
+
+        xl, gl, n = x.astype(np.longdouble), g.astype(np.longdouble), shape[1] * shape[2]
+        centred = xl - xl.mean(axis=(1, 2), keepdims=True)
+        inv = 1 / np.sqrt((centred * centred).mean(axis=(1, 2), keepdims=True) + ad.BN_EPS)
+        xhat, dxhat = centred * inv, gl * gamma.astype(np.longdouble)[:, None, None]
+        s1 = dxhat.sum(axis=(1, 2), keepdims=True)
+        s2 = (dxhat * xhat).sum(axis=(1, 2), keepdims=True)
+        want = inv / n * (n * dxhat - s1 - xhat * s2)
+        assert np.abs(tx.grad - want).max() <= 1e-15 * np.abs(want).max()
 
     def test_inference_uses_running_stats(self):
         rng = np.random.default_rng(5)

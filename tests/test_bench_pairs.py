@@ -1,5 +1,5 @@
-"""``tools/bench_pairs.py``: its seed lists and its workload choices, which
-come from BENCHMARK.json."""
+"""``tools/bench_pairs.py``: its seed lists, its workload choices, which
+come from BENCHMARK.json, and its summary of the pairs."""
 
 import importlib.util
 import json
@@ -33,3 +33,43 @@ def test_workload_choices_are_the_benchmarks():
     assert bench_pairs.parse_args(argv("fcn_long"), longer).workload == "fcn_long"
     with pytest.raises(SystemExit):
         bench_pairs.parse_args(argv("fcn_long"), spec)
+
+
+METRICS = [{"name": "step_ms", "better": "lower"},
+           {"name": "sweep_cells_per_h", "better": "higher"}]
+
+
+def pair(parent, change):
+    """A synthetic pair; each side is (step_ms, sweep_cells_per_h, correct, failed)."""
+    def side(values):
+        step, cells, correct, failed = values
+        return {"step_ms": step, "sweep_cells_per_h": cells, "correct": correct,
+                "failed": failed}
+    return {"parent": side(parent), "change": side(change)}
+
+
+def test_summarize_leaves_out_pairs_with_a_failed_run():
+    pairs = [pair((10.0, 100.0, True, 0), (9.0, 110.0, True, 0)),
+             pair((12.0, 90.0, True, 0), (11.0, 80.0, True, 0)),
+             pair((11.0, 95.0, True, 0), (12.0, 99.0, True, 0)),
+             # every unit of this change run failed, so its timings read 0.0
+             pair((10.5, 97.0, True, 0), (0.0, 0.0, False, 3)),
+             pair((0.0, 0.0, False, 2), (9.5, 105.0, True, 0))]
+    got = bench_pairs.summarize(pairs, METRICS)
+    assert got["excluded_pairs"] == 2
+    assert got["step_ms"] == {"pairs": 3, "parent_median": 11.0, "change_median": 11.0,
+                              "parent_iqr": 2.0, "change_wins": 2, "change_losses": 1}
+    assert got["sweep_cells_per_h"]["change_median"] == 99.0
+    assert (got["sweep_cells_per_h"]["change_wins"],
+            got["sweep_cells_per_h"]["change_losses"]) == (2, 1)
+    assert got["failed"] == {"parent": {"runs": 1, "operations": 2},
+                             "change": {"runs": 1, "operations": 3}}
+
+
+def test_summarize_with_no_pair_left_has_no_medians():
+    pairs = [pair((10.0, 100.0, True, 0), (0.0, 0.0, False, 4))]
+    got = bench_pairs.summarize(pairs, METRICS)
+    assert got["excluded_pairs"] == 1
+    assert got["step_ms"] == {"pairs": 0, "parent_median": None, "change_median": None,
+                              "parent_iqr": 0.0, "change_wins": 0, "change_losses": 0}
+    assert got["failed"]["change"] == {"runs": 1, "operations": 4}

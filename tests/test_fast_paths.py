@@ -83,12 +83,12 @@ def ref_batch_norm1d(x, gamma, beta, running_mean, running_var, training, g,
     out = gamma[:, None, None] * xhat + beta[:, None, None]
     dgamma = (g * xhat).sum(axis=(1, 2))
     dbeta = g.sum(axis=(1, 2))
-    dxhat = g * gamma[:, None, None]
     if training:
-        s1 = dxhat.sum(axis=(1, 2))[:, None, None]
-        s2 = (dxhat * xhat).sum(axis=(1, 2))[:, None, None]
-        dx = inv[:, None, None] / n * (n * dxhat - s1 - xhat * s2)
+        # sum dxhat = gamma * dbeta and sum dxhat * xhat = gamma * dgamma
+        mean_dxhat = xhat * (dgamma / n)[:, None, None] + (dbeta / n)[:, None, None]
+        dx = (g - mean_dxhat) * gamma[:, None, None] * inv[:, None, None]
     else:
+        dxhat = g * gamma[:, None, None]
         dx = dxhat * inv[:, None, None]
     return out, dx, dgamma, dbeta
 

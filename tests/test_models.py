@@ -213,6 +213,20 @@ class TestSerialization:
         with pytest.raises(DataError, match=f"ckpt.npz: checkpoint metadata has no '{key}'"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda meta: meta["spec"]["activation"].update(name="swish"), "unknown activation"),
+        (lambda meta: meta["spec"]["activation"].update(params={"alpha": 1.0}), "relu takes no"),
+        (lambda meta: meta["spec"].update(layers=3), "int"),
+        (lambda meta: meta.update(optimizer=[1, 2]), "list"),
+    ], ids=["unknown-activation", "unknown-parameter", "layers-not-a-list",
+            "optimizer-not-a-dict"])
+    def test_malformed_checkpoint_metadata_is_a_data_error(self, tmp_path, edit, message):
+        path = tmp_path / "ckpt.npz"
+        self._save_edited(path, edit)
+        match = f"ckpt.npz: malformed checkpoint metadata: .*{message}"
+        with pytest.raises(DataError, match=match):
+            load_checkpoint(path)
+
     def test_missing_checkpoint_is_a_data_error(self, tmp_path):
         with pytest.raises(DataError, match="absent.npz: cannot read checkpoint"):
             load_checkpoint(tmp_path / "absent.npz")

@@ -13,11 +13,12 @@ run lasts BENCHMARK.json's ``run_seconds``. Pair i runs seed
 the determinism digests. Results go to ``BENCH_<topic>.json`` at the root:
 the per-pair metric values, each side's median, the parent's interquartile
 range, how many pairs the change won and lost (by BENCHMARK.json's
-``better``), each side's failed runs and failed operations, the digests and
-the machine stamp (the report's env, the C library and its malloc environment
-variables). ``--workload`` is one of BENCHMARK.json's workloads. An existing
-file is updated in place, one workload at a time, so several calls can fill
-one file.
+``better``), all over the pairs whose runs both passed their output checks,
+how many pairs that left out, each side's failed runs and failed operations,
+the digests and the machine stamp (the report's env, the C library and its
+malloc environment variables). ``--workload`` is one of BENCHMARK.json's
+workloads. An existing file is updated in place, one workload at a time, so
+several calls can fill one file.
 Standard library only.
 """
 
@@ -93,6 +94,10 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return {"values": values, "digest": report["digest"], "env": report["env"]}
 
 
+def median(values: list[float]) -> float | None:
+    return round(statistics.median(values), 4) if values else None
+
+
 def iqr(values: list[float]) -> float:
     if len(values) < 2:
         return 0.0
@@ -101,18 +106,22 @@ def iqr(values: list[float]) -> float:
 
 
 def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
+    """Per metric: medians, the parent's IQR, wins and losses over the pairs
+    whose runs both passed their output checks (a run that failed every unit
+    reads 0.0 for its timings); medians are None when no pair is left. Failed
+    runs and operations are counted over all pairs."""
+    good = [p for p in pairs if p["parent"]["correct"] and p["change"]["correct"]]
     out = {}
     for m in metrics:
         name, lower = m["name"], m["better"] == "lower"
-        parent = [p["parent"][name] for p in pairs]
-        change = [p["change"][name] for p in pairs]
+        parent = [p["parent"][name] for p in good]
+        change = [p["change"][name] for p in good]
         wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
         losses = sum((c > p) if lower else (c < p) for p, c in zip(parent, change))
-        out[name] = {"pairs": len(pairs), "parent_median": round(statistics.median(parent), 4),
-                     "change_median": round(statistics.median(change), 4),
-                     "parent_iqr": round(iqr(parent), 4), "change_wins": wins,
-                     "change_losses": losses}
-    # A pair's metrics mean nothing if its run failed its output checks.
+        out[name] = {"pairs": len(good), "parent_median": median(parent),
+                     "change_median": median(change), "parent_iqr": round(iqr(parent), 4),
+                     "change_wins": wins, "change_losses": losses}
+    out["excluded_pairs"] = len(pairs) - len(good)
     out["failed"] = {side: {"runs": sum(not p[side]["correct"] for p in pairs),
                             "operations": sum(p[side]["failed"] for p in pairs)}
                      for side in ("parent", "change")}
