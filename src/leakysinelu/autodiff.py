@@ -1,6 +1,6 @@
 """Minimal reverse-mode differentiation over float64 numpy arrays.
 
-A ``Tape`` records operations in execution order; ``backward`` replays them
+A ``Tape`` records operations in execution order; ``backward`` runs them
 in reverse, accumulating gradients into each ``Tensor``'s ``.grad``. Passing
 ``tape=None`` to any operation runs it forward-only (used for inference).
 The convolutional ops (``conv1d_same``, ``batch_norm1d``,
@@ -15,7 +15,7 @@ import numpy as np
 
 from . import activations as zoo
 from . import kernels
-from .errors import ConfigError, DataError, NumericError, ShapeError
+from .errors import ConfigError, ContractError, DataError, NumericError, ShapeError
 
 __all__ = [
     "Tensor",
@@ -64,7 +64,7 @@ class Tensor:
 
 
 class Tape:
-    """Ordered record of operations; append order is topological order."""
+    """Ordered record of operations, used once; append order is topological order."""
 
     def __init__(self):
         self._records: list[tuple[str, Tensor, object]] = []
@@ -75,19 +75,19 @@ class Tape:
     def backward(self, loss: Tensor) -> None:
         """Propagate d(loss)/d(node) to every tensor reachable from loss.
 
-        Gradients of recorded intermediate outputs are reset first, so
-        replaying the same tape reproduces identical gradients; leaf
-        gradients accumulate and are the caller's to clear.
+        Each record is popped as it runs, which frees what its op saved; a
+        second call raises ContractError. Leaf gradients accumulate and are
+        the caller's to clear.
         """
         if loss.data.size != 1:
             raise ShapeError(f"loss must be scalar, got shape {loss.data.shape}")
-        for _, out, _ in self._records:
-            out.grad = None
+        if not self._records:
+            raise ContractError("tape holds no records: it is empty or backward already ran")
         loss.grad = np.ones_like(loss.data)
-        for op, out, fn in reversed(self._records):
-            if out.grad is None:
-                continue
-            fn(out.grad)
+        while self._records:
+            _, out, fn = self._records.pop()
+            if out.grad is not None:
+                fn(out.grad)
 
 
 def _check_finite(data: np.ndarray, op: str) -> None:

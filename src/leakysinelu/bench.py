@@ -13,8 +13,8 @@ hands the heap's top back to the OS, so every training step faulted its
 temporaries in again (about 1,900 minor faults per FCN step and 300 per MLP
 step at L=128, B=16, and thousands more in each cell's set-up); with the
 thresholds set, a step reuses the previous step's memory and takes none.
-Peak RSS is unchanged at L=128, but an L=1024 FCN step peaks about 9 %
-higher (736 -> 802 MB), because freed windows stay on the heap. On another
+Peak RSS is unchanged at L=128, but an L=1024 FCN step peaks about 3 %
+higher (609 -> 626 MB), because freed windows stay on the heap. On another
 C library the policy is left as it is.
 """
 
@@ -231,7 +231,7 @@ def train(
     Before the first step of a process it sets glibc's allocation policy
     (``_keep_heap``): a step's freed temporaries stay on the heap for the
     next step, so no step page-faults them in again. That costs no peak RSS
-    at L=128 and about 9 % at L=1024, and it changes no number.
+    at L=128 and about 3 % at L=1024, and it changes no number.
     """
     _keep_heap()
     if dataset.length != spec.input_length:

@@ -46,7 +46,10 @@ def _invocation_dir(command: str, out_root: str, resolved: dict) -> Path:
         json.dumps({"command": command, **hashed}, sort_keys=True).encode()
     ).hexdigest()[:12]
     outdir = Path(out_root) / f"{command}-{digest}"
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out {out_root}: cannot make {outdir}: {exc.strerror}") from exc
     manifest = {
         "command": command,
         "invocation_hash": digest,
@@ -273,7 +276,10 @@ def cmd_trace(args) -> int:
               for x, v, d in zip(series, values, derivs)]
     text = "\n".join(lines) + "\n"
     if args.out_file:
-        Path(args.out_file).write_text(text)
+        try:
+            Path(args.out_file).write_text(text)
+        except OSError as exc:
+            raise ConfigError(f"--out {args.out_file}: cannot write: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
     print(f"dead_fraction={dead_fraction}", file=sys.stderr)

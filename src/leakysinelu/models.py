@@ -251,6 +251,15 @@ def save_checkpoint(path, spec: ModelSpec, state: ModelState, opt_state) -> None
     np.savez(path, **arrays)
 
 
+def _rebuild(spec: ModelSpec) -> ModelSpec | None:
+    """The spec ``build_mlp``/``build_fcn`` makes from ``spec``'s own fields."""
+    if spec.architecture == "mlp":
+        return build_mlp(spec.input_length, spec.n_classes, spec.activation)
+    if spec.architecture == "fcn":
+        return build_fcn(spec.input_length, spec.n_classes, spec.activation, spec.norm_enabled)
+    return None
+
+
 def load_checkpoint(path):
     """Read back (spec, state, optimizer_state) from save_checkpoint.
 
@@ -258,8 +267,10 @@ def load_checkpoint(path):
     archive, one without readable metadata, another checkpoint format, no
     optimizer state (which save_checkpoint always writes), metadata that
     lacks a spec field, the seed or an optimizer key or holds one of the
-    wrong type or value (an unknown activation, say), or an optimizer entry
-    not named opt/<name>/<slot>.
+    wrong type or value (an unknown activation, say), an input length,
+    class count, seed or step count that is not an int in range, a spec
+    that ``build_mlp``/``build_fcn`` would not make from its own fields, or
+    an optimizer entry not named opt/<name>/<slot>.
     """
     from .optim import OptimizerState
 
@@ -287,6 +298,16 @@ def load_checkpoint(path):
             raise DataError(f"{path}: checkpoint metadata has no {exc}") from exc
         except (TypeError, ValueError, ConfigError) as exc:
             raise DataError(f"{path}: malformed checkpoint metadata: {exc}") from exc
+        counts = {"spec.input_length": (spec.input_length, 1),
+                  "spec.n_classes": (spec.n_classes, 2),
+                  "seed": (seed, 0), "optimizer.step_count": (step_count, 0)}
+        for name, (value, low) in counts.items():
+            if type(value) is not int or value < low:  # bool is not an int here
+                raise DataError(f"{path}: checkpoint {name} must be an int >= {low}, "
+                                f"got {value!r}")
+        if spec != _rebuild(spec):
+            raise DataError(f"{path}: checkpoint spec is not the {spec.architecture!r} "
+                            f"spec its own fields make")
         params, buffers, slots = {}, {}, {}
         for key in blob.files:
             if key.startswith("param/"):

@@ -1,11 +1,14 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from leakysinelu import activations as zoo
 from leakysinelu import autodiff as ad
-from leakysinelu.errors import ConfigError, DataError, NumericError, ShapeError
+from leakysinelu import kernels, models
+from leakysinelu.errors import ConfigError, ContractError, DataError, NumericError, ShapeError
 
 
 def rel_err(a, b):
@@ -328,7 +331,7 @@ class TestBackward:
         with pytest.raises(ShapeError):
             tape.backward(out)
 
-    def test_replay_is_bitwise_identical(self):
+    def test_second_backward_raises_and_keeps_leaf_grads(self):
         rng = np.random.default_rng(14)
         x = ad.Tensor(rng.normal(size=(4, 6)))
         w = ad.Tensor(rng.normal(size=(6, 3)))
@@ -338,12 +341,44 @@ class TestBackward:
         out = ad.activate(ad.affine(x, w, b, tape), zoo.activation("leakysinelu"), tape)
         loss = ad.softmax_xent(out, labels, tape)
         tape.backward(loss)
-        first = {id(t): t.grad.copy() for t in (x, w, b)}
-        for t in (x, w, b):
-            t.grad = None
-        tape.backward(loss)
-        for t in (x, w, b):
-            assert np.array_equal(t.grad, first[id(t)])
+        first = [t.grad.copy() for t in (x, w, b)]
+        with pytest.raises(ContractError, match="backward already ran"):
+            tape.backward(loss)
+        for t, grad in zip((x, w, b), first):
+            assert np.array_equal(t.grad, grad)
+
+    def test_backward_frees_each_record_it_runs(self, monkeypatch):
+        # Reference counting alone must free what each op saved: with the
+        # cycle collector off, nothing a record held may outlive backward.
+        closures, windows = [], []
+        record, conv1d_forward = ad.Tape.record, kernels.conv1d_forward
+
+        def keep_closure(tape, op, out, backward_fn):
+            closures.append(weakref.ref(backward_fn))
+            record(tape, op, out, backward_fn)
+
+        def keep_window(*args):
+            out, cols = conv1d_forward(*args)
+            windows.append(weakref.ref(cols))
+            return out, cols
+
+        monkeypatch.setattr(ad.Tape, "record", keep_closure)
+        monkeypatch.setattr(kernels, "conv1d_forward", keep_window)
+        spec = models.build_fcn(16, 3, "leakysinelu")
+        state = models.init_params(spec, 0)
+        params = models.wrap_params(state)
+        x = np.random.default_rng(3).normal(size=(4, 16))
+        gc.disable()
+        try:
+            tape = ad.Tape()
+            logits = models.forward(spec, state, x, tape=tape, training=True,
+                                    rng=np.random.default_rng(0), param_tensors=params)
+            tape.backward(ad.softmax_xent(logits, np.array([0, 1, 2, 1]), tape))
+            assert len(closures) == 12 and len(windows) == 3
+            assert [ref for ref in closures + windows if ref() is not None] == []
+        finally:
+            gc.enable()
+        assert all(t.grad is not None for t in params.values())
 
     def test_nonfinite_forward_raises(self):
         with pytest.raises(NumericError):

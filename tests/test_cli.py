@@ -58,6 +58,12 @@ class TestAnalyze:
             run(["analyze", "--activation", "swish", "--out", str(tmp_path)])
         assert exc.value.code == 2
 
+    def test_out_that_is_a_file_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert run(["analyze", "--activation", "relu", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: --out {out}: cannot make ")
+
 
 class TestTrain:
     def test_end_to_end(self, tmp_path, capsys):
@@ -417,6 +423,14 @@ class TestTrace:
                     "--out", str(out)])
         assert code == 0
         assert out.read_text().startswith("x,value,derivative")
+
+    def test_output_file_in_a_missing_directory_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "trace.csv"
+        code = run(["trace", "--activation", "relu", "--grid", "-1", "1", "5",
+                    "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: --out {out}: cannot write: ")
+        assert not out.parent.exists()
 
 
 class TestManifest:

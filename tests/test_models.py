@@ -227,6 +227,37 @@ class TestSerialization:
         with pytest.raises(DataError, match=match):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("edit, name, low", [
+        (lambda meta: meta["spec"].update(n_classes="two"), "spec.n_classes", 2),
+        (lambda meta: meta["spec"].update(n_classes=1), "spec.n_classes", 2),
+        (lambda meta: meta["spec"].update(input_length=16.5), "spec.input_length", 1),
+        (lambda meta: meta["spec"].update(input_length=True), "spec.input_length", 1),
+        (lambda meta: meta.update(seed="abc"), "seed", 0),
+        (lambda meta: meta.update(seed=-1), "seed", 0),
+        (lambda meta: meta["optimizer"].update(step_count="x"), "optimizer.step_count", 0),
+    ], ids=["n-classes-text", "n-classes-one", "input-length-float", "input-length-bool",
+            "seed-text", "seed-negative", "step-count-text"])
+    def test_count_that_is_not_an_int_in_range_is_a_data_error(self, tmp_path, edit, name, low):
+        path = tmp_path / "ckpt.npz"
+        self._save_edited(path, edit)
+        match = f"ckpt.npz: checkpoint {name} must be an int >= {low}, got "
+        with pytest.raises(DataError, match=match):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda meta: meta["spec"].update(n_classes=3),
+        lambda meta: meta["spec"].update(head="softmax"),
+        lambda meta: meta["spec"].update(head_units=2),
+        lambda meta: meta["spec"]["layers"].pop(0),
+        lambda meta: meta["spec"].update(norm_enabled=True),
+        lambda meta: meta["spec"].update(architecture="cnn"),
+    ], ids=["n-classes", "head", "head-units", "layers", "norm", "architecture"])
+    def test_spec_its_fields_do_not_make_is_a_data_error(self, tmp_path, edit):
+        path = tmp_path / "ckpt.npz"
+        self._save_edited(path, edit)
+        with pytest.raises(DataError, match="ckpt.npz: checkpoint spec is not the "):
+            load_checkpoint(path)
+
     def test_missing_checkpoint_is_a_data_error(self, tmp_path):
         with pytest.raises(DataError, match="absent.npz: cannot read checkpoint"):
             load_checkpoint(tmp_path / "absent.npz")
