@@ -40,8 +40,10 @@ class Tensor:
     """A float64 array plus its accumulated gradient.
 
     With ``requires_grad=False`` (a model's data batch) no gradient is
-    stored in ``.grad``, and ``conv1d_same`` does not compute one. An op's
-    output always requires a gradient.
+    stored in ``.grad``, and ``conv1d_same`` and ``affine`` do not compute
+    one. An op's output requires a gradient, except ``dropout``'s of an
+    input that needs none: that output needs none either, and nothing is
+    recorded on the tape for it.
     """
 
     __slots__ = ("data", "grad", "requires_grad")
@@ -112,10 +114,11 @@ def _accumulate(t: Tensor, g, op: str) -> None:
         t.grad += g
 
 
-def _emit(tape: Tape | None, op: str, data: np.ndarray, backward_fn) -> Tensor:
+def _emit(tape: Tape | None, op: str, data: np.ndarray, backward_fn,
+          requires_grad: bool = True) -> Tensor:
     _check_finite(data, op)
-    out = Tensor(data)
-    if tape is not None:
+    out = Tensor(data, requires_grad)
+    if tape is not None and requires_grad:
         tape.record(op, out, backward_fn)
     return out
 
@@ -131,7 +134,8 @@ def affine(x: Tensor, w: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
     out_data = x.data @ w.data + b.data
 
     def bwd(g):
-        _accumulate(x, g @ w.data.T, "affine")
+        if x.requires_grad:
+            _accumulate(x, g @ w.data.T, "affine")
         _accumulate(w, x.data.T @ g, "affine")
         _accumulate(b, g.sum(axis=0), "affine")
 
@@ -266,7 +270,7 @@ def dropout(
     def bwd(g):
         _accumulate(x, g * mask, "dropout")
 
-    return _emit(tape, "dropout", out_data, bwd)
+    return _emit(tape, "dropout", out_data, bwd, x.requires_grad)
 
 
 def activate(

@@ -1,4 +1,4 @@
-"""Hot inner kernels: 1-D convolution and fused optimizer updates, in numpy.
+"""Hot inner kernels: 1-D convolution and blocked optimizer updates, in numpy.
 
 Callers look these names up on the module at each call
 (``kernels.conv1d_forward(...)``), so a profiler can wrap them in place.
@@ -19,6 +19,18 @@ output's memory order, and each backward GEMM reads ``g`` as it lies. The
 caller keeps ``cols`` for the backward pass and hands it, unmodified, to
 ``conv1d_grad_kernel``, which never sees ``x``. No other kernel builds a
 window matrix.
+
+Block contract: ``adam_update`` and ``adadelta_update`` take one
+parameter's flat views (parameter, gradient, two slots) and walk them in
+blocks of ``BLOCK`` elements, running the whole update on one block before
+the next. Each temporary goes into scratch arrays of ``BLOCK`` elements,
+made once per call and reused for every block. The reason is cache size: a
+whole-array pass over the MLP's 250,000-float hidden weight matrix reads
+2 MB per array and streams from memory, while one block of the six arrays
+Adadelta touches (p, g, two slots, two scratch) is 768 KiB and stays in a
+2 MiB per-core L2 across its 15 passes. Each element sees the same ufuncs in
+the same order as in the whole-array formulas, so every result is the same
+bit for bit.
 """
 
 from __future__ import annotations
@@ -35,6 +47,13 @@ __all__ = [
 ]
 
 BACKEND = "numpy"
+
+# Elements per optimizer block (128 KiB per array). Adadelta over the MLP's
+# 317,005 parameters (L=128, 5 classes), median of 35 calls, two runs, on a
+# 2-core AVX-512 x86-64 with glibc's thresholds set as ``bench`` sets them:
+#   8K 2.79-2.94 ms, 16K 2.57-2.68, 32K 2.55-2.71, 64K 2.77-2.99,
+#   whole-array kernel 3.80-4.15.
+BLOCK = 16_384
 
 
 def _shift(j: int, pad_left: int, length: int) -> tuple[int, int, int]:
@@ -86,26 +105,52 @@ def conv1d_grad_input(g: np.ndarray, w: np.ndarray, pad_left: int) -> np.ndarray
     return dx
 
 
+def _blocks(arrays, scratch):
+    """Per block of the equal-length flat ``arrays``: their views over it,
+    then ``scratch`` scratch views of the same length. The scratch arrays
+    are allocated once per call at the full ``BLOCK`` size."""
+    bufs = [np.empty(BLOCK) for _ in range(scratch)]
+    n = arrays[0].size
+    for lo in range(0, n, BLOCK):
+        hi = min(lo + BLOCK, n)
+        yield *(a[lo:hi] for a in arrays), *(t[: hi - lo] for t in bufs)
+
+
 def adam_update(p, g, m, v, beta1, beta2, scale, c2, eps):
-    """One bias-corrected Adam update on flat views, in place."""
-    m *= beta1
-    m += (1.0 - beta1) * g
-    v *= beta2
-    v += (1.0 - beta2) * np.square(g)
-    denom = np.sqrt(v / c2)
-    denom += eps
-    step = m / denom
-    step *= scale
-    p -= step
+    """One bias-corrected Adam update on flat views, in place, block by block."""
+    for pb, gb, mb, vb, tb in _blocks((p, g, m, v), 1):
+        mb *= beta1
+        mb += np.multiply(gb, 1.0 - beta1, out=tb)
+        vb *= beta2
+        np.square(gb, out=tb)
+        tb *= 1.0 - beta2
+        vb += tb
+        np.divide(vb, c2, out=tb)
+        np.sqrt(tb, out=tb)
+        tb += eps
+        np.divide(mb, tb, out=tb)
+        tb *= scale
+        pb -= tb
 
 
 def adadelta_update(p, g, sq_grad, sq_update, lr, rho, eps):
-    """One Adadelta update on flat views, in place."""
-    sq_grad *= rho
-    sq_grad += (1.0 - rho) * np.square(g)
-    delta = np.sqrt((sq_update + eps) / (sq_grad + eps))
-    delta *= g
-    np.negative(delta, out=delta)
-    sq_update *= rho
-    sq_update += (1.0 - rho) * np.square(delta)
-    p += lr * delta
+    """One Adadelta update on flat views, in place, block by block.
+
+    ``p -= lr * (s * g)`` stands for the textbook ``d = -(s * g)``,
+    ``p += lr * d``: IEEE negation is exact, so both round alike, bit for bit."""
+    for pb, gb, egb, edb, tb, ub in _blocks((p, g, sq_grad, sq_update), 2):
+        egb *= rho
+        np.square(gb, out=tb)
+        tb *= 1.0 - rho
+        egb += tb
+        np.add(edb, eps, out=tb)
+        np.add(egb, eps, out=ub)
+        tb /= ub
+        np.sqrt(tb, out=tb)
+        tb *= gb  # s * g, the update with its sign flipped
+        edb *= rho
+        np.square(tb, out=ub)
+        ub *= 1.0 - rho
+        edb += ub
+        tb *= lr
+        pb -= tb

@@ -269,10 +269,13 @@ def load_checkpoint(path):
     lacks a spec field, the seed or an optimizer key or holds one of the
     wrong type or value (an unknown activation, say), an input length,
     class count, seed or step count that is not an int in range, a spec
-    that ``build_mlp``/``build_fcn`` would not make from its own fields, or
-    an optimizer entry not named opt/<name>/<slot>.
+    that ``build_mlp``/``build_fcn`` would not make from its own fields,
+    optimizer hyper-parameters that are not one optimizer's fields, or an
+    array entry that is missing, extra or of another shape than the
+    param/<name>, buffer/<name> and opt/<name>/<slot> entries that
+    ``init_params(spec, seed)`` and that optimizer's ``SLOTS`` make.
     """
-    from .optim import OptimizerState
+    from .optim import OPTIMIZERS, OptimizerState
 
     try:
         blob = np.load(path)
@@ -308,17 +311,31 @@ def load_checkpoint(path):
         if spec != _rebuild(spec):
             raise DataError(f"{path}: checkpoint spec is not the {spec.architecture!r} "
                             f"spec its own fields make")
-        params, buffers, slots = {}, {}, {}
-        for key in blob.files:
-            if key.startswith("param/"):
-                params[key[6:]] = blob[key]
-            elif key.startswith("buffer/"):
-                buffers[key[7:]] = blob[key]
-            elif key.startswith("opt/"):
-                name, _, slot = key[4:].partition("/")
-                if not (name and slot):
-                    raise DataError(f"{path}: checkpoint entry {key!r} is not opt/<name>/<slot>")
-                slots.setdefault(name, {})[slot] = blob[key]
+        opt_name = next((name for name, cls in OPTIMIZERS.items() if isinstance(hyper, dict)
+                         and hyper.keys() == {f.name for f in fields(cls)}), None)
+        if opt_name is None:
+            raise DataError(f"{path}: checkpoint optimizer.hyper {hyper!r} has the fields "
+                            f"of none of the optimizers {', '.join(OPTIMIZERS)}")
+        made, slot_names = init_params(spec, seed), OPTIMIZERS[opt_name].SLOTS
+        want = {f"param/{name}": p.shape for name, p in made.params.items()}
+        want.update({f"buffer/{name}": b.shape for name, b in made.buffers.items()})
+        want.update({f"opt/{name}/{slot}": p.shape for name, p in made.params.items()
+                     for slot in slot_names})
+        arrays = {key: blob[key] for key in blob.files if key != "meta"}
+        for key, arr in arrays.items():
+            if key not in want:
+                raise DataError(f"{path}: checkpoint entry {key!r} is not one the spec and "
+                                f"{opt_name} make")
+            if arr.shape != want[key]:
+                raise DataError(f"{path}: checkpoint entry {key!r} has shape {arr.shape}, "
+                                f"the spec makes {want[key]}")
+        missing = sorted(want.keys() - arrays.keys())
+        if missing:
+            raise DataError(f"{path}: checkpoint has no entry {missing[0]!r}")
+        params = {name: arrays[f"param/{name}"] for name in made.params}
+        buffers = {name: arrays[f"buffer/{name}"] for name in made.buffers}
+        slots = {name: {slot: arrays[f"opt/{name}/{slot}"] for slot in slot_names}
+                 for name in made.params}
         state = ModelState(params=params, buffers=buffers, seed=seed)
         opt_state = OptimizerState(hyper=hyper, slots=slots, step_count=step_count)
     return spec, state, opt_state

@@ -5,7 +5,9 @@
 fields as ``hyper``) and where every step starts (``_views``: check the
 state, count the step, hand out flat views). A new optimizer is a
 dataclass with its fields, its ``SLOTS`` and one ``step`` that passes those
-views to its in-place kernel in ``kernels``, looked up at call time.
+views to its in-place kernel in ``kernels``, looked up at call time, once per
+parameter. The kernel walks the views in cache-sized blocks (``kernels``'
+block contract), so a step's cost is one pass over its state from memory.
 """
 
 from __future__ import annotations

@@ -58,6 +58,20 @@ class TestAffine:
 
         fd_check(build, [x, w, b])
 
+    def test_input_without_gradient_gets_none(self):
+        rng = np.random.default_rng(3)
+        data, target = rng.normal(size=(3, 4)), rng.normal(size=(3, 2))
+        grads = []
+        for requires_grad in (True, False):
+            x = ad.Tensor(data, requires_grad=requires_grad)
+            w, b = ad.Tensor(np.arange(8.0).reshape(4, 2)), ad.Tensor(np.ones(2))
+            tape = ad.Tape()
+            tape.backward(ad.mse(ad.affine(x, w, b, tape), target, tape))
+            grads.append((x.grad, w.grad, b.grad))
+        (_, w_grad, b_grad), (x_grad, w_grad2, b_grad2) = grads
+        assert x_grad is None
+        assert np.array_equal(w_grad, w_grad2) and np.array_equal(b_grad, b_grad2)
+
 
 class TestConv1d:
     def test_sliding_sum_example(self):
@@ -223,6 +237,24 @@ class TestDropout:
         loss = ad.mse(out, np.zeros(1000), tape)
         tape.backward(loss)
         assert np.array_equal(x.grad == 0.0, out.data == 0.0)
+
+    def test_input_without_gradient_records_nothing(self):
+        data = np.arange(1.0, 101.0)
+        tape = ad.Tape()
+        out = ad.dropout(ad.Tensor(data, requires_grad=False), 0.3, True,
+                         np.random.default_rng(8), tape)
+        want = ad.dropout(ad.Tensor(data), 0.3, True, np.random.default_rng(8), ad.Tape())
+        assert not out.requires_grad and not tape._records
+        assert np.array_equal(out.data, want.data)
+
+    def test_mlp_step_records_no_op_on_the_data_batch(self):
+        spec = models.build_mlp(6, 3, "relu")
+        state = models.init_params(spec, 0)
+        tape = ad.Tape()
+        models.forward(spec, state, np.ones((4, 6)), tape=tape, training=True,
+                       rng=np.random.default_rng(0))
+        assert [op for op, _, _ in tape._records] == [
+            "affine", "relu", "dropout", "affine", "relu", "dropout", "affine"]
 
 
 class TestLosses:

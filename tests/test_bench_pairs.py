@@ -1,8 +1,15 @@
 """``tools/bench_pairs.py``: its seed lists, its workload choices, which
-come from BENCHMARK.json, and its summary of the pairs."""
+come from BENCHMARK.json, its summary of the pairs, and its clean-up when
+it is stopped."""
 
 import importlib.util
 import json
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+import time
 from pathlib import Path
 
 import pytest
@@ -73,3 +80,64 @@ def test_summarize_with_no_pair_left_has_no_medians():
     assert got["step_ms"] == {"pairs": 0, "parent_median": None, "change_median": None,
                               "parent_iqr": 0.0, "change_wins": 0, "change_losses": 0}
     assert got["failed"]["change"] == {"runs": 1, "operations": 4}
+
+
+# A bench_pairs run whose parent tree is a stand-in: its perfbench/run.py
+# writes its pid to argv[2] and sleeps, so the run is stopped mid-benchmark.
+STOPPED_CHILD = textwrap.dedent("""
+    import importlib.util, sys
+
+    spec = importlib.util.spec_from_file_location("bench_pairs", sys.argv[1])
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    RUN = ("import os, time\\n"
+           f"open({sys.argv[2]!r}, 'w').write(str(os.getpid()))\\n"
+           "time.sleep(120)\\n")
+
+    def extract(rev, dest):
+        (dest / "perfbench").mkdir(parents=True)
+        (dest / "perfbench" / "run.py").write_text(RUN)
+        return dest
+
+    bench_pairs.extract = extract
+    sys.exit(bench_pairs.main(["--topic", "stopped", "--parent", "HEAD",
+                               "--workload", "mlp_cell", "--pairs", "1"]))
+""")
+
+
+def wait_for(predicate, seconds=60.0):
+    deadline = time.monotonic() + seconds
+    while not predicate():
+        assert time.monotonic() < deadline, "timed out"
+        time.sleep(0.05)
+
+
+def alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def test_sigterm_kills_the_run_and_removes_the_temporary_directory(tmp_path):
+    temp, pid_file = tmp_path / "tmp", tmp_path / "run.pid"
+    temp.mkdir()
+    proc = subprocess.Popen(
+        [sys.executable, "-c", STOPPED_CHILD, str(ROOT / "tools" / "bench_pairs.py"),
+         str(pid_file)], env={**os.environ, "TMPDIR": str(temp)},
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    try:
+        wait_for(lambda: pid_file.is_file() and pid_file.read_text())
+        run_pid = int(pid_file.read_text())
+        assert [p.name[:12] for p in temp.iterdir()] == ["bench_pairs-"]
+        proc.send_signal(signal.SIGTERM)
+        _, stderr = proc.communicate(timeout=60)
+        assert proc.returncode != 0, stderr
+        assert list(temp.iterdir()) == []
+        wait_for(lambda: not alive(run_pid), seconds=10)
+    finally:
+        proc.kill()
+        if pid_file.is_file() and pid_file.read_text() and alive(int(pid_file.read_text())):
+            os.kill(int(pid_file.read_text()), signal.SIGKILL)
+    assert not (ROOT / "BENCH_stopped.json").exists()

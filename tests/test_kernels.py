@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from leakysinelu import autodiff as ad
-from leakysinelu import kernels
+from leakysinelu import kernels, models
 from leakysinelu.optim import Adadelta, Adam
+from test_fast_paths import same_bits
 
 KERNEL_NAMES = (
     "conv1d_forward",
@@ -95,6 +96,79 @@ class TestUpdates:
             np.testing.assert_allclose(p, want, rtol=1e-12)
             np.testing.assert_allclose(eg, want_eg, rtol=1e-12)
             np.testing.assert_allclose(ed, want_ed, rtol=1e-12)
+
+
+def whole_array_adam(p, g, m, v, beta1, beta2, scale, c2, eps):
+    """The Adam update as whole-array passes, the blocked kernel's oracle."""
+    m *= beta1
+    m += (1.0 - beta1) * g
+    v *= beta2
+    v += (1.0 - beta2) * np.square(g)
+    denom = np.sqrt(v / c2)
+    denom += eps
+    step = m / denom
+    step *= scale
+    p -= step
+
+
+def whole_array_adadelta(p, g, sq_grad, sq_update, lr, rho, eps):
+    """The Adadelta update as whole-array passes, with the update's own sign."""
+    sq_grad *= rho
+    sq_grad += (1.0 - rho) * np.square(g)
+    delta = np.sqrt((sq_update + eps) / (sq_grad + eps))
+    delta *= g
+    np.negative(delta, out=delta)
+    sq_update *= rho
+    sq_update += (1.0 - rho) * np.square(delta)
+    p += lr * delta
+
+
+def gradients(n: int, steps: int = 6):
+    """Gradients scaled from 1e-8 to 1e2 over the steps, with about a tenth
+    of the entries exact zeros and a tenth -0.0."""
+    rng = np.random.default_rng(n)
+    for scale in np.logspace(-8, 2, steps):
+        g = rng.normal(size=n) * scale
+        g[rng.random(n) < 0.1] = 0.0
+        g[rng.random(n) < 0.1] = -0.0
+        yield g
+
+
+class TestBlockedUpdates:
+    SIZES = [1, 5, kernels.BLOCK - 1, kernels.BLOCK, kernels.BLOCK + 1, 3 * kernels.BLOCK + 7]
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("kernel, oracle, hyper", [
+        ("adam_update", whole_array_adam, lambda t: (0.9, 0.999, 0.01 / (1 - 0.9**t),
+                                                     1 - 0.999**t, 1e-8)),
+        ("adadelta_update", whole_array_adadelta, lambda t: (1.0, 0.9, 1e-6)),
+    ], ids=["adam", "adadelta"])
+    def test_same_bits_as_whole_array_formulas(self, n, kernel, oracle, hyper):
+        start = np.random.default_rng(n + 1).normal(size=n)
+        start[:2] = -0.0
+        got = [start.copy(), np.zeros(n), np.zeros(n)]
+        want = [start.copy(), np.zeros(n), np.zeros(n)]
+        for t, g in enumerate(gradients(n), start=1):
+            getattr(kernels, kernel)(got[0], g, got[1], got[2], *hyper(t))
+            oracle(want[0], g, want[1], want[2], *hyper(t))
+            for a, b in zip(got, want):
+                assert same_bits(a, b)
+
+    def test_one_kernel_call_per_parameter(self, monkeypatch):
+        spec = models.build_mlp(128, 5, "relu")
+        for opt, kernel in ((Adam(), "adam_update"), (Adadelta(), "adadelta_update")):
+            params = models.init_params(spec, 0).params
+            assert max(p.size for p in params.values()) > 3 * kernels.BLOCK
+            calls = []
+
+            def spy(p, *args, _fn=getattr(kernels, kernel)):
+                calls.append(p.size)
+                return _fn(p, *args)
+
+            monkeypatch.setattr(kernels, kernel, spy)
+            opt.step(opt.init_state(params), params,
+                     {k: np.ones_like(v) for k, v in params.items()})
+            assert calls == [p.size for p in params.values()]
 
 
 class TestModule:

@@ -258,6 +258,54 @@ class TestSerialization:
         with pytest.raises(DataError, match="ckpt.npz: checkpoint spec is not the "):
             load_checkpoint(path)
 
+    def test_entry_shaped_for_another_input_length_is_a_data_error(self, tmp_path):
+        # The MLP's layer list does not depend on L, so only the shapes can
+        # tell that this spec no longer fits the arrays saved at L=8.
+        path = tmp_path / "ckpt.npz"
+        self._save_edited(path, lambda meta: meta["spec"].update(input_length=16))
+        match = (r"ckpt.npz: checkpoint entry 'param/l1.W' has shape \(8, 500\), "
+                 r"the spec makes \(16, 500\)")
+        with pytest.raises(DataError, match=match):
+            load_checkpoint(path)
+
+    @staticmethod
+    def _save_with_arrays(path, opt, edit):
+        """Save an FCN checkpoint to ``path``, then rewrite it with its arrays
+        (metadata included) passed through ``edit``."""
+        spec = build_fcn(8, 3, "prelu")
+        state = init_params(spec, 0)
+        save_checkpoint(path, spec, state, opt.init_state(state.params))
+        with np.load(path) as blob:
+            arrays = {k: blob[k] for k in blob.files}
+        edit(arrays)
+        np.savez(path, **arrays)
+
+    @pytest.mark.parametrize("opt, edit, message", [
+        (Adam(), lambda a: a.update({"buffer/l1.running_var": np.ones(5)}),
+         r"entry 'buffer/l1.running_var' has shape \(5,\), the spec makes \(128,\)"),
+        (Adadelta(), lambda a: a.update({"opt/l0.W/sq_update": np.zeros((128, 1, 7))}),
+         r"entry 'opt/l0.W/sq_update' has shape \(128, 1, 7\), the spec makes \(128, 1, 8\)"),
+        (Adam(), lambda a: a.pop("param/l2.alpha"), "has no entry 'param/l2.alpha'"),
+        (Adam(), lambda a: a.pop("opt/l0.b/v"), "has no entry 'opt/l0.b/v'"),
+        (Adam(), lambda a: a.update({"param/extra": np.zeros(2)}),
+         "entry 'param/extra' is not one the spec and adam make"),
+        (Adadelta(), lambda a: a.update({"opt/l0.W/m": a["opt/l0.W/sq_grad"]}),
+         "entry 'opt/l0.W/m' is not one the spec and adadelta make"),
+    ], ids=["buffer-shape", "slot-shape", "missing-param", "missing-slot", "extra-param",
+            "other-optimizers-slot"])
+    def test_entry_the_spec_does_not_make_is_a_data_error(self, tmp_path, opt, edit, message):
+        path = tmp_path / "ckpt.npz"
+        self._save_with_arrays(path, opt, edit)
+        with pytest.raises(DataError, match=f"ckpt.npz: checkpoint {message}"):
+            load_checkpoint(path)
+
+    def test_hyper_parameters_of_no_optimizer_are_a_data_error(self, tmp_path):
+        path = tmp_path / "ckpt.npz"
+        self._save_edited(path, lambda meta: meta["optimizer"]["hyper"].update(momentum=0.9))
+        with pytest.raises(DataError, match="ckpt.npz: checkpoint optimizer.hyper .* has the "
+                                            "fields of none of the optimizers adam, adadelta"):
+            load_checkpoint(path)
+
     def test_missing_checkpoint_is_a_data_error(self, tmp_path):
         with pytest.raises(DataError, match="absent.npz: cannot read checkpoint"):
             load_checkpoint(tmp_path / "absent.npz")

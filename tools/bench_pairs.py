@@ -18,7 +18,8 @@ how many pairs that left out, each side's failed runs and failed operations,
 the digests and the machine stamp (the report's env, the C library and its
 malloc environment variables). ``--workload`` is one of BENCHMARK.json's
 workloads. An existing file is updated in place, one workload at a time, so
-several calls can fill one file.
+several calls can fill one file. SIGTERM and SIGINT stop it cleanly: the
+running benchmark is killed and the temporary directory removed.
 Standard library only.
 """
 
@@ -29,6 +30,7 @@ import json
 import os
 import platform
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -128,9 +130,16 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
     return out
 
 
+def exit_on_signal(signum, frame):
+    """Stop as SystemExit, so that ``finally`` blocks run and ``subprocess.run``
+    kills the benchmark it is waiting for."""
+    raise SystemExit(128 + signum)
+
+
 def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     args = parse_args(argv, spec)
+    signal.signal(signal.SIGTERM, exit_on_signal)
     out_path = ROOT / f"BENCH_{args.topic}.json"
     doc = json.loads(out_path.read_text()) if out_path.is_file() else {}
     work = Path(tempfile.mkdtemp(prefix="bench_pairs-"))
