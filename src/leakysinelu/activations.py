@@ -17,6 +17,11 @@ scipy is imported on first use, by GELU only, so a cell without GELU skips its i
 LeakySineLU, which every model layer runs, is Snake at a = 1, halved for x <= 0.
 Both take one float64 tan per element: sin^2 y = T^2 / (1 + T^2) and
 sin 2y = 2T / (1 + T^2) with T = tan(y). Only sine takes a sin; see the note below.
+The value and the derivative share T and 1 + T^2, so
+``array_value_and_derivative``, which a training forward calls for a kind
+with no trainable parameter, takes one tan for both, and gives the same
+bits as separate ``array_value`` and ``array_derivative`` calls. Every other
+kind computes the two separately.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ __all__ = [
     "kink_points",
     "array_value",
     "array_derivative",
+    "array_value_and_derivative",
     "param_derivative",
     "kind_to_dict",
     "kind_from_dict",
@@ -132,6 +138,31 @@ def _sin_doubled(y):
     return np.divide(t, d, out=t)
 
 
+def _sin_pair(y):
+    """(sin^2 y, sin 2y) from one tan, bit for bit what ``_sin_squared`` and
+    ``_sin_doubled`` give, since both divide by the same 1 + T^2."""
+    t = np.tan(y, out=np.empty_like(y))
+    s = np.square(t, out=np.empty_like(t))
+    d = s + 1.0
+    np.divide(s, d, out=s)
+    t *= 2.0
+    return s, np.divide(t, d, out=t)
+
+
+def _snake_pair(x, a):
+    """Snake's (value, derivative) at a fixed ``a``: x + sin^2(ax)/a, 1 + sin 2ax."""
+    s, d = _sin_pair(a * x)
+    s /= a
+    s += x
+    d += 1.0
+    return s, d
+
+
+def _leakysinelu_pair(x):
+    s, d = _sin_pair(x)
+    return _leaky(s, x, x > 0), _leaky(d, 1.0, x >= 0)
+
+
 def _leaky(v, plus, keep):
     """v + plus in place, halved where ``keep`` is False by one multiply with 0.5
     (exactly 1.0 elsewhere): a masked loop mispredicts per element of mixed sign."""
@@ -157,6 +188,8 @@ class _Entry:
     set only where that parameter may be trained. ``kink_slopes`` maps the
     params to the one-sided slopes (left, right) at the kink x = 0, and
     ``check`` maps them to an error message, or None when they are valid.
+    ``pair``, where set, gives (value, derivative) at scalar params in one
+    pass, bit for bit what the two formulas give.
     """
 
     value: Callable
@@ -170,6 +203,7 @@ class _Entry:
     param_derivative: Callable | None = None
     kink_slopes: Callable | None = None
     check: Callable | None = None
+    pair: Callable | None = None
 
 
 _INF = float("inf")
@@ -230,6 +264,7 @@ _REGISTRY: dict[str, _Entry] = {
         param_derivative=lambda x, p: (x * _sin_doubled(p["a"] * x) / p["a"]
                                        - _sin_squared(p["a"] * x) / np.square(p["a"])),
         check=lambda p: "snake a must be nonzero" if p["a"] == 0 else None,
+        pair=lambda x, p: _snake_pair(x, p["a"]),
     ),
     "leakysinelu": _Entry(
         value=lambda x, p: _leaky(_sin_squared(x), x, x > 0),
@@ -237,6 +272,7 @@ _REGISTRY: dict[str, _Entry] = {
         limits=(-_INF, _INF), monotonic=True, period=lambda p: math.pi,
         # One-sided limits of sin(2x)+1 and its halved branch.
         kink_slopes=lambda p: (0.5, 1.0),
+        pair=lambda x, p: _leakysinelu_pair(x),
     ),
 }
 
@@ -304,6 +340,17 @@ def array_derivative(kind, x, params=None) -> np.ndarray:
     kind = _as_kind(kind)
     return _REGISTRY[kind.name].derivative(np.asarray(x, dtype=np.float64),
                                            kind.params if params is None else params)
+
+
+def array_value_and_derivative(kind, x) -> tuple[np.ndarray, np.ndarray]:
+    """``(array_value(kind, x), array_derivative(kind, x))`` bit for bit, at
+    ``kind.params``; one tan per element for Snake and LeakySineLU."""
+    kind = _as_kind(kind)
+    entry = _REGISTRY[kind.name]
+    x = np.asarray(x, dtype=np.float64)
+    if entry.pair is not None:
+        return entry.pair(x, kind.params)
+    return entry.value(x, kind.params), entry.derivative(x, kind.params)
 
 
 def param_derivative(kind, x, params) -> np.ndarray:

@@ -7,6 +7,16 @@ The convolutional ops (``conv1d_same``, ``batch_norm1d``,
 ``global_avg_pool``) take channel-major (C, B, L) arrays; ``global_avg_pool``
 returns (B, C) for a dense head. Only the operations needed by the two
 reference architectures plus the sine-layer fitting demo are provided.
+
+A ``Tensor`` is its data plus a gradient slot (``Grad``). A tape record holds
+its output's slot and the op's backward closure; the closure holds the slots
+of the op's inputs and only the arrays its backward reads. So no record
+holds an op's output data: once the caller drops it (``models.forward``
+rebinds its ``cur``), it is freed unless the next op keeps it as an input
+it reads. ``conv1d_same`` keeps its input, ``batch_norm1d`` its
+standardised input, ``activate`` the derivative (or, for a trainable
+parameter, its input), ``affine`` its input and ``dropout`` its mask;
+``global_avg_pool`` keeps only its input's shape.
 """
 
 from __future__ import annotations
@@ -18,6 +28,7 @@ from . import kernels
 from .errors import ConfigError, ContractError, DataError, NumericError, ShapeError
 
 __all__ = [
+    "Grad",
     "Tensor",
     "Tape",
     "affine",
@@ -36,17 +47,31 @@ BN_MOMENTUM = 0.1
 BN_EPS = 1e-5
 
 
-class Tensor:
-    """A float64 array plus its accumulated gradient.
+class Grad:
+    """A tensor's gradient slot: the accumulated gradient (None until one
+    arrives) and whether one is wanted. Tape records and backward closures
+    hold this, not the tensor, so they do not keep its data alive."""
 
-    With ``requires_grad=False`` (a model's data batch) no gradient is
-    stored in ``.grad``, and ``conv1d_same`` and ``affine`` do not compute
-    one. An op's output requires a gradient, except ``dropout``'s of an
-    input that needs none: that output needs none either, and nothing is
-    recorded on the tape for it.
+    __slots__ = ("grad", "requires_grad")
+
+    def __init__(self, requires_grad: bool):
+        self.grad = None
+        self.requires_grad = requires_grad
+
+
+class Tensor:
+    """A float64 array plus its gradient slot (``.slot``).
+
+    ``.grad`` and ``.requires_grad`` read the slot. With
+    ``requires_grad=False`` (a model's data batch) no gradient is stored,
+    and ``conv1d_same`` and ``affine`` do not compute one. An op's output
+    requires a gradient, except ``dropout``'s of an input that needs none:
+    that output needs none either, and nothing is recorded on the tape for
+    it. The tape holds the output's slot, and a closure the slots of its
+    op's inputs plus the arrays its backward reads (see the module note).
     """
 
-    __slots__ = ("data", "grad", "requires_grad")
+    __slots__ = ("data", "slot")
 
     def __init__(self, data, requires_grad: bool = True):
         arr = np.asarray(data, dtype=np.float64)
@@ -54,8 +79,15 @@ class Tensor:
             # ascontiguousarray would promote 0-d scalars to shape (1,)
             arr = np.ascontiguousarray(arr)
         self.data = arr
-        self.grad = None
-        self.requires_grad = requires_grad
+        self.slot = Grad(requires_grad)
+
+    @property
+    def grad(self):
+        return self.slot.grad
+
+    @property
+    def requires_grad(self) -> bool:
+        return self.slot.requires_grad
 
     @property
     def shape(self):
@@ -69,9 +101,10 @@ class Tape:
     """Ordered record of operations, used once; append order is topological order."""
 
     def __init__(self):
-        self._records: list[tuple[str, Tensor, object]] = []
+        self._records: list[tuple[str, Grad, object]] = []
 
-    def record(self, op: str, out: Tensor, backward_fn) -> None:
+    def record(self, op: str, out: Grad, backward_fn) -> None:
+        """Append one op: its output's gradient slot and its backward closure."""
         self._records.append((op, out, backward_fn))
 
     def backward(self, loss: Tensor) -> None:
@@ -85,7 +118,7 @@ class Tape:
             raise ShapeError(f"loss must be scalar, got shape {loss.data.shape}")
         if not self._records:
             raise ContractError("tape holds no records: it is empty or backward already ran")
-        loss.grad = np.ones_like(loss.data)
+        loss.slot.grad = np.ones_like(loss.data)
         while self._records:
             _, out, fn = self._records.pop()
             if out.grad is not None:
@@ -99,7 +132,7 @@ def _check_finite(data: np.ndarray, op: str) -> None:
         raise NumericError(f"non-finite value in output of {op}")
 
 
-def _accumulate(t: Tensor, g, op: str) -> None:
+def _accumulate(t: Grad, g, op: str) -> None:
     if not t.requires_grad:
         return
     if not np.isfinite(np.sum(g)):
@@ -119,7 +152,7 @@ def _emit(tape: Tape | None, op: str, data: np.ndarray, backward_fn,
     _check_finite(data, op)
     out = Tensor(data, requires_grad)
     if tape is not None and requires_grad:
-        tape.record(op, out, backward_fn)
+        tape.record(op, out.slot, backward_fn)
     return out
 
 
@@ -131,13 +164,14 @@ def affine(x: Tensor, w: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
         raise ShapeError(
             f"affine shape mismatch: x{x.data.shape} w{w.data.shape} b{b.data.shape}"
         )
-    out_data = x.data @ w.data + b.data
+    xd, wd, xs, ws, bs = x.data, w.data, x.slot, w.slot, b.slot
+    out_data = xd @ wd + b.data
 
     def bwd(g):
-        if x.requires_grad:
-            _accumulate(x, g @ w.data.T, "affine")
-        _accumulate(w, x.data.T @ g, "affine")
-        _accumulate(b, g.sum(axis=0), "affine")
+        if xs.requires_grad:
+            _accumulate(xs, g @ wd.T, "affine")
+        _accumulate(ws, xd.T @ g, "affine")
+        _accumulate(bs, g.sum(axis=0), "affine")
 
     return _emit(tape, "affine", out_data, bwd)
 
@@ -148,7 +182,8 @@ def conv1d_same(x: Tensor, w: Tensor, b: Tensor, tape: Tape | None = None) -> Te
     Channel-major, so that each conv is one GEMM whose result is already in
     the output's layout (see ``kernels``). Zero padding is floor((K-1)/2) on
     the left and ceil((K-1)/2) on the right, so even kernel widths pad
-    asymmetrically.
+    asymmetrically. The backward keeps the input, not its window matrix,
+    which is K times larger: ``conv1d_grad_kernel`` rebuilds the window.
     """
     if x.data.ndim != 3 or w.data.ndim != 3 or b.data.ndim != 1:
         raise ShapeError("conv1d_same expects x (Cin,B,L), w (Cout,Cin,K), b (Cout,)")
@@ -159,15 +194,16 @@ def conv1d_same(x: Tensor, w: Tensor, b: Tensor, tape: Tape | None = None) -> Te
     _, b_sz, length = x.data.shape
     cout, _, k_width = w.data.shape
     pad_left = (k_width - 1) // 2
-    out, cols = kernels.conv1d_forward(x.data, w.data, pad_left)
+    xd, wd, xs, ws, bs = x.data, w.data, x.slot, w.slot, b.slot
+    out = kernels.conv1d_forward(xd, wd, pad_left)
     out += b.data[:, None]
 
     def bwd(g):
         g = np.ascontiguousarray(g)
-        if x.requires_grad:
-            _accumulate(x, kernels.conv1d_grad_input(g, w.data, pad_left), "conv1d_same")
-        _accumulate(w, kernels.conv1d_grad_kernel(g, cols, k_width), "conv1d_same")
-        _accumulate(b, g.sum(axis=(1, 2)), "conv1d_same")
+        if xs.requires_grad:
+            _accumulate(xs, kernels.conv1d_grad_input(g, wd, pad_left), "conv1d_same")
+        _accumulate(ws, kernels.conv1d_grad_kernel(g, xd, k_width, pad_left), "conv1d_same")
+        _accumulate(bs, g.sum(axis=(1, 2)), "conv1d_same")
 
     return _emit(tape, "conv1d_same", out.reshape(cout, b_sz, length), bwd)
 
@@ -176,11 +212,11 @@ def global_avg_pool(x: Tensor, tape: Tape | None = None) -> Tensor:
     """Mean over the time axis: (C,B,L) -> (B,C), the dense head's layout."""
     if x.data.ndim != 3:
         raise ShapeError("global_avg_pool expects (C,B,L)")
-    length = x.data.shape[2]
+    shape, xs = x.data.shape, x.slot
     out_data = x.data.mean(axis=2).T
 
     def bwd(g):
-        _accumulate(x, np.broadcast_to(g.T[:, :, None] / length, x.data.shape), "global_avg_pool")
+        _accumulate(xs, np.broadcast_to(g.T[:, :, None] / shape[2], shape), "global_avg_pool")
 
     return _emit(tape, "global_avg_pool", out_data, bwd)
 
@@ -230,21 +266,22 @@ def batch_norm1d(
         var = running_var
     inv = (1.0 / np.sqrt(var + BN_EPS))[:, None, None]
     xhat *= inv
-    np.multiply(xhat, gamma.data[:, None, None], out=out_data)
+    scale, xs, gs, bs = gamma.data[:, None, None], x.slot, gamma.slot, beta.slot
+    np.multiply(xhat, scale, out=out_data)
     out_data += beta.data[:, None, None]
 
     def bwd(g):
         dx = np.multiply(g, xhat)  # g * xhat for dgamma, then dx in place
         dgamma, dbeta = dx.sum(axis=(1, 2)), g.sum(axis=(1, 2))
-        _accumulate(gamma, dgamma, "batch_norm1d")
-        _accumulate(beta, dbeta, "batch_norm1d")
+        _accumulate(gs, dgamma, "batch_norm1d")
+        _accumulate(bs, dbeta, "batch_norm1d")
         if training:  # g - (xhat * dgamma/n + dbeta/n)
             np.multiply(xhat, (dgamma / n)[:, None, None], out=dx)
             dx += (dbeta / n)[:, None, None]
             np.subtract(g, dx, out=dx)
-        np.multiply(dx if training else g, gamma.data[:, None, None], out=dx)
+        np.multiply(dx if training else g, scale, out=dx)
         dx *= inv
-        _accumulate(x, dx, "batch_norm1d")
+        _accumulate(xs, dx, "batch_norm1d")
 
     return _emit(tape, "batch_norm1d", out_data, bwd)
 
@@ -266,9 +303,10 @@ def dropout(
     scale = 1.0 / (1.0 - p)
     mask = (rng.random(x.data.shape) >= p) * scale
     out_data = x.data * mask
+    xs = x.slot
 
     def bwd(g):
-        _accumulate(x, g * mask, "dropout")
+        _accumulate(xs, g * mask, "dropout")
 
     return _emit(tape, "dropout", out_data, bwd, x.requires_grad)
 
@@ -285,27 +323,41 @@ def activate(
     value per channel: along axis 0 of a (C,B,L) conv activation, along
     axis 1 of a (B,n) dense one. When omitted the fixed values in
     ``kind.params`` are used.
+
+    With a tape and no ``param``, the forward computes the derivative with
+    the value (``array_value_and_derivative``, one tan for Snake and
+    LeakySineLU) and keeps it in place of x, which is then freed with its
+    producer's output. With ``param``, x is kept: the backward needs it for
+    the parameter's gradient. Without a tape only the value is computed.
     """
-    xd = x.data
-    params = kind.params
-    if param is not None:
-        (name,) = kind.params
-        if xd.ndim == 3:
-            shape, other_axes = (-1, 1, 1), (1, 2)
-        else:
-            shape, other_axes = (1, -1), (0,)
-        params = {name: param.data.reshape(shape)}
+    xd, xs = x.data, x.slot
+    if param is None:
+        if tape is None:
+            return _emit(None, kind.name, zoo.array_value(kind, xd), None)
+        out_data, deriv = zoo.array_value_and_derivative(kind, xd)
+
+        def bwd(g):
+            # The tape runs this once, so the kept derivative can become dx.
+            _accumulate(xs, np.multiply(deriv, g, out=deriv), kind.name)
+
+        return _emit(tape, kind.name, out_data, bwd)
+
+    (name,) = kind.params
+    if xd.ndim == 3:
+        shape, other_axes = (-1, 1, 1), (1, 2)
+    else:
+        shape, other_axes = (1, -1), (0,)
+    params, ps = {name: param.data.reshape(shape)}, param.slot
     out_data = zoo.array_value(kind, xd, params)
 
-    def bwd(g):
+    def bwd_param(g):
         dx = zoo.array_derivative(kind, xd, params)
         dx *= g
-        _accumulate(x, dx, kind.name)
-        if param is not None:
-            contrib = zoo.param_derivative(kind, xd, params) * g
-            _accumulate(param, contrib.sum(axis=other_axes), kind.name)
+        _accumulate(xs, dx, kind.name)
+        contrib = zoo.param_derivative(kind, xd, params) * g
+        _accumulate(ps, contrib.sum(axis=other_axes), kind.name)
 
-    return _emit(tape, kind.name, out_data, bwd)
+    return _emit(tape, kind.name, out_data, bwd_param)
 
 
 def softmax_xent(logits: Tensor, labels: np.ndarray, tape: Tape | None = None) -> Tensor:
@@ -323,11 +375,12 @@ def softmax_xent(logits: Tensor, labels: np.ndarray, tape: Tape | None = None) -
     lse = np.log(np.exp(z).sum(axis=1))
     logp = z[np.arange(b_sz), labels] - lse
     loss = np.asarray(-logp.mean())
+    ls = logits.slot
 
     def bwd(g):
         probs = np.exp(z - lse[:, None])
         probs[np.arange(b_sz), labels] -= 1.0
-        _accumulate(logits, probs * (float(g) / b_sz), "softmax_xent")
+        _accumulate(ls, probs * (float(g) / b_sz), "softmax_xent")
 
     return _emit(tape, "softmax_xent", loss, bwd)
 
@@ -342,12 +395,13 @@ def sigmoid_bce(logits: Tensor, labels: np.ndarray, tape: Tape | None = None) ->
         raise DataError("binary labels must be 0 or 1")
     y = labels.astype(np.float64)
     loss = np.asarray((np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))).mean())
+    shape, ls = logits.data.shape, logits.slot
 
     def bwd(g):
         s = 1.0 / (1.0 + np.exp(-np.abs(z)))
         sig = np.where(z >= 0, s, 1.0 - s)
         dz = (sig - y) * (float(g) / z.size)
-        _accumulate(logits, dz.reshape(logits.data.shape), "sigmoid_bce")
+        _accumulate(ls, dz.reshape(shape), "sigmoid_bce")
 
     return _emit(tape, "sigmoid_bce", loss, bwd)
 
@@ -359,8 +413,9 @@ def mse(pred: Tensor, target: np.ndarray, tape: Tape | None = None) -> Tensor:
         raise ShapeError(f"target shape {target.shape} does not match {pred.data.shape}")
     diff = pred.data - target
     loss = np.asarray(np.mean(diff * diff))
+    ps = pred.slot
 
     def bwd(g):
-        _accumulate(pred, diff * (2.0 * float(g) / diff.size), "mse")
+        _accumulate(ps, diff * (2.0 * float(g) / diff.size), "mse")
 
     return _emit(tape, "mse", loss, bwd)

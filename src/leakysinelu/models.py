@@ -273,7 +273,8 @@ def load_checkpoint(path):
     optimizer hyper-parameters that are not one optimizer's fields, or an
     array entry that is missing, extra or of another shape than the
     param/<name>, buffer/<name> and opt/<name>/<slot> entries that
-    ``init_params(spec, seed)`` and that optimizer's ``SLOTS`` make.
+    ``init_params(spec, seed)`` and that optimizer's ``SLOTS`` make, or that
+    cannot be read without pickle, or is not finite float64.
     """
     from .optim import OPTIMIZERS, OptimizerState
 
@@ -321,14 +322,25 @@ def load_checkpoint(path):
         want.update({f"buffer/{name}": b.shape for name, b in made.buffers.items()})
         want.update({f"opt/{name}/{slot}": p.shape for name, p in made.params.items()
                      for slot in slot_names})
-        arrays = {key: blob[key] for key in blob.files if key != "meta"}
-        for key, arr in arrays.items():
+        arrays = {}
+        for key in blob.files:
+            if key == "meta":
+                continue
             if key not in want:
                 raise DataError(f"{path}: checkpoint entry {key!r} is not one the spec and "
                                 f"{opt_name} make")
+            try:
+                arr = arrays[key] = blob[key]
+            except ValueError as exc:  # an object array, which needs pickle
+                raise DataError(f"{path}: cannot read checkpoint entry {key!r}: {exc}") from exc
             if arr.shape != want[key]:
                 raise DataError(f"{path}: checkpoint entry {key!r} has shape {arr.shape}, "
                                 f"the spec makes {want[key]}")
+            if arr.dtype != np.float64:
+                raise DataError(f"{path}: checkpoint entry {key!r} has dtype {arr.dtype}, "
+                                f"not float64")
+            if not np.isfinite(arr).all():
+                raise DataError(f"{path}: checkpoint entry {key!r} holds a non-finite value")
         missing = sorted(want.keys() - arrays.keys())
         if missing:
             raise DataError(f"{path}: checkpoint has no entry {missing[0]!r}")

@@ -382,20 +382,20 @@ class TestBackward:
     def test_backward_frees_each_record_it_runs(self, monkeypatch):
         # Reference counting alone must free what each op saved: with the
         # cycle collector off, nothing a record held may outlive backward.
-        closures, windows = [], []
+        # Each conv keeps its input for conv1d_grad_kernel.
+        closures, conv_inputs = [], []
         record, conv1d_forward = ad.Tape.record, kernels.conv1d_forward
 
         def keep_closure(tape, op, out, backward_fn):
             closures.append(weakref.ref(backward_fn))
             record(tape, op, out, backward_fn)
 
-        def keep_window(*args):
-            out, cols = conv1d_forward(*args)
-            windows.append(weakref.ref(cols))
-            return out, cols
+        def keep_input(x, w, pad_left):
+            conv_inputs.append(weakref.ref(x))
+            return conv1d_forward(x, w, pad_left)
 
         monkeypatch.setattr(ad.Tape, "record", keep_closure)
-        monkeypatch.setattr(kernels, "conv1d_forward", keep_window)
+        monkeypatch.setattr(kernels, "conv1d_forward", keep_input)
         spec = models.build_fcn(16, 3, "leakysinelu")
         state = models.init_params(spec, 0)
         params = models.wrap_params(state)
@@ -406,8 +406,8 @@ class TestBackward:
             logits = models.forward(spec, state, x, tape=tape, training=True,
                                     rng=np.random.default_rng(0), param_tensors=params)
             tape.backward(ad.softmax_xent(logits, np.array([0, 1, 2, 1]), tape))
-            assert len(closures) == 12 and len(windows) == 3
-            assert [ref for ref in closures + windows if ref() is not None] == []
+            assert len(closures) == 12 and len(conv_inputs) == 3
+            assert [ref for ref in closures + conv_inputs if ref() is not None] == []
         finally:
             gc.enable()
         assert all(t.grad is not None for t in params.values())
@@ -415,6 +415,75 @@ class TestBackward:
     def test_nonfinite_forward_raises(self):
         with pytest.raises(NumericError):
             ad.affine(ad.Tensor([[1e308]]), ad.Tensor([[1e308]]), ad.Tensor([0.0]))
+
+
+class TestWhatTheTapeKeeps:
+    """With the cycle collector off, reference counting alone decides which
+    op outputs outlive ``models.forward``: only those a later backward reads."""
+
+    FCN_OPS = ["conv1d_same", "batch_norm1d", "activate"] * 3
+
+    @staticmethod
+    def forward(monkeypatch, spec, seen=()):
+        """A training forward of ``spec`` on a toy batch; ``seen`` ops append
+        (op, weakref to output data) to the list returned beside the tape."""
+        outputs = []
+        for op in seen:
+            def spy(*args, _real=getattr(ad, op), _op=op, **kwargs):
+                out = _real(*args, **kwargs)
+                outputs.append((_op, weakref.ref(out.data)))
+                return out
+
+            monkeypatch.setattr(ad, op, spy)
+        state = models.init_params(spec, 0)
+        x = np.random.default_rng(4).normal(size=(4, spec.input_length))
+        tape = ad.Tape()
+        logits = models.forward(spec, state, x, tape=tape, training=True,
+                                rng=np.random.default_rng(0))
+        return tape, logits, outputs
+
+    @staticmethod
+    def alive(outputs):
+        return [(op, i) for i, (op, ref) in enumerate(outputs) if ref() is not None]
+
+    def test_only_the_conv_inputs_outlive_the_forward(self, monkeypatch):
+        # Batch norm keeps xhat, activate its derivative and global_avg_pool
+        # a shape, so the conv, batch-norm and last activation outputs die;
+        # the first two activation outputs are the inputs the next convs keep.
+        gc.disable()
+        try:
+            tape, logits, outputs = self.forward(
+                monkeypatch, models.build_fcn(16, 3, "leakysinelu"), self.FCN_OPS[:3])
+            assert [op for op, _ in outputs] == self.FCN_OPS
+            assert self.alive(outputs) == [("activate", 2), ("activate", 5)]
+            tape.backward(ad.softmax_xent(logits, np.array([0, 1, 2, 1]), tape))
+            assert self.alive(outputs) == []
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("kind", [zoo.activation("prelu"),
+                                      zoo.activation("snake", learnable={"a"})])
+    def test_a_trainable_kind_keeps_its_input(self, monkeypatch, kind):
+        gc.disable()
+        try:
+            tape, _, outputs = self.forward(monkeypatch, models.build_fcn(16, 3, kind),
+                                            self.FCN_OPS[:3])
+            assert len(tape._records) == 11
+            assert self.alive(outputs) == [("batch_norm1d", 1), ("activate", 2),
+                                           ("batch_norm1d", 4), ("activate", 5),
+                                           ("batch_norm1d", 7)]
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("build", [models.build_fcn, models.build_mlp])
+    @pytest.mark.parametrize("kind", ["leakysinelu", "prelu"])
+    def test_records_and_closures_hold_slots_not_tensors(self, monkeypatch, build, kind):
+        tape, _, _ = self.forward(monkeypatch, build(16, 3, kind))
+        assert tape._records
+        for _, out, fn in tape._records:
+            assert isinstance(out, ad.Grad)
+            held = [cell.cell_contents for cell in fn.__closure__ or ()]
+            assert not [h for h in held if isinstance(h, ad.Tensor)]
 
 
 class TestActivatePath:

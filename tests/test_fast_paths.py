@@ -1,12 +1,15 @@
 """The fast paths of the FCN step against the plain formulas they replaced.
 
-The conv kernels build the window matrix without a padded copy of the input
-and keep it for the backward pass, batch norm works in place, and
+The conv kernels build the window matrix without a padded copy of the input,
+each inside the kernel that multiplies by it, batch norm works in place, and
 LeakySineLU fills one output buffer. None of that may change a single bit,
 so each test below compares against a copy of the plain, allocation-heavy
 formula in the same (C, B, L) layout with ``np.array_equal`` (and, for the
 activation, the sign of zero too).
 """
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -121,10 +124,9 @@ def test_conv_kernels_equal_the_earlier_formulas(b_sz, cin, cout, length, k_widt
     xp = np.pad(x, ((0, 0), (0, 0), (pad_left, k_width - 1 - pad_left)))
     w = rng.normal(size=(cout, cin, k_width))
     g = rng.normal(size=(cout, b_sz, length))
-    out, cols = kernels.conv1d_forward(x, w, pad_left)
-    assert np.array_equal(out, ref_conv1d_forward(xp, w))
-    assert np.array_equal(cols, ref_cols(xp, k_width))
-    assert np.array_equal(kernels.conv1d_grad_kernel(g, cols, k_width),
+    assert np.array_equal(kernels.conv1d_forward(x, w, pad_left), ref_conv1d_forward(xp, w))
+    assert np.array_equal(kernels._window(x, k_width, pad_left), ref_cols(xp, k_width))
+    assert np.array_equal(kernels.conv1d_grad_kernel(g, x, k_width, pad_left),
                           ref_conv1d_grad_kernel(g, xp, k_width))
     dxp = ref_conv1d_grad_input(g, w, xp.shape[2])
     assert np.array_equal(kernels.conv1d_grad_input(g, w, pad_left),
@@ -152,16 +154,20 @@ def test_leakysinelu_equals_the_earlier_formulas(x):
         assert same_bits(got, want)
 
 
-def test_activate_backward_equals_derivative_times_gradient():
+@pytest.mark.parametrize("name", zoo.ACTIVATION_NAMES)
+def test_activate_backward_equals_derivative_times_gradient(name):
     rng = np.random.default_rng(1)
-    kind = zoo.activation("leakysinelu")
+    kind = zoo.activation(name, learnable=())
     x = ad.Tensor(rng.normal(size=(3, 4, 5)))
     g = rng.normal(size=(3, 4, 5))
     tape = ad.Tape()
     out = ad.activate(x, kind, tape)
     run_backward(tape, g)
-    assert same_bits(out.data, ref_leakysinelu(x.data))
-    assert same_bits(x.grad, ref_leakysinelu_deriv(x.data) * g)
+    assert same_bits(out.data, zoo.array_value(kind, x.data))
+    assert same_bits(x.grad, zoo.array_derivative(kind, x.data) * g)
+    if name == "leakysinelu":
+        assert same_bits(out.data, ref_leakysinelu(x.data))
+        assert same_bits(x.grad, ref_leakysinelu_deriv(x.data) * g)
 
 
 # ---- batch norm ----
@@ -187,31 +193,73 @@ def test_batch_norm_equals_the_earlier_formulas(shape, training):
     assert np.array_equal(run_var, want_var)
 
 
-# ---- one window matrix per conv layer per step ----
+# ---- a window matrix lives only in the kernel call that builds it ----
 
-def test_fcn_step_builds_each_window_matrix_once(monkeypatch):
-    # Only conv1d_forward builds a window matrix; the backward pass hands the
-    # forward's own array to conv1d_grad_kernel instead of building another.
-    built, used = [], []
-    forward, grad_kernel = kernels.conv1d_forward, kernels.conv1d_grad_kernel
+def test_each_conv_builds_its_window_once_per_pass_and_drops_it(monkeypatch):
+    # conv1d_forward and conv1d_grad_kernel each build the window of the
+    # same conv input once; neither hands it on, so reference counting alone
+    # frees it before the kernel returns.
+    builds, live = [], []
+    window, running = kernels._window, []
 
-    def forward_spy(*args):
-        out, cols = forward(*args)
-        built.append(cols)
-        return out, cols
+    def window_spy(*args):
+        cols = window(*args)
+        builds.append((running[-1], cols.shape, weakref.ref(cols), weakref.ref(cols.base)))
+        return cols
 
-    def grad_kernel_spy(g, cols, k_width):
-        used.append(cols)
-        return grad_kernel(g, cols, k_width)
+    def kernel_spy(name):
+        real = getattr(kernels, name)
 
-    monkeypatch.setattr(kernels, "conv1d_forward", forward_spy)
-    monkeypatch.setattr(kernels, "conv1d_grad_kernel", grad_kernel_spy)
+        def spy(*args):
+            running.append(name)
+            first = len(builds)
+            try:
+                return real(*args)
+            finally:
+                running.pop()
+                live.extend(b[:2] for b in builds[first:]
+                            if b[2]() is not None or b[3]() is not None)
+        return spy
+
+    monkeypatch.setattr(kernels, "_window", window_spy)
+    for name in ("conv1d_forward", "conv1d_grad_kernel"):
+        monkeypatch.setattr(kernels, name, kernel_spy(name))
     spec = models.build_fcn(16, 3, "leakysinelu")
     state = models.init_params(spec, 0)
     rng = np.random.default_rng(0)
-    tape = ad.Tape()
-    logits = models.forward(spec, state, rng.normal(size=(4, 16)), tape=tape, training=True)
-    tape.backward(ad.softmax_xent(logits, np.array([0, 1, 2, 0]), tape))
-    assert [c.shape for c in built] == [(1 * 8, 64), (128 * 5, 64), (256 * 3, 64)]
-    assert len(used) == 3
-    assert all(u is c for u, c in zip(used, reversed(built)))
+    gc.disable()
+    try:
+        tape = ad.Tape()
+        logits = models.forward(spec, state, rng.normal(size=(4, 16)), tape=tape,
+                                training=True)
+        tape.backward(ad.softmax_xent(logits, np.array([0, 1, 2, 0]), tape))
+    finally:
+        gc.enable()
+    shapes = [(1 * 8, 64), (128 * 5, 64), (256 * 3, 64)]
+    assert [b[:2] for b in builds] == ([("conv1d_forward", s) for s in shapes]
+                                       + [("conv1d_grad_kernel", s) for s in shapes[::-1]])
+    assert live == []
+
+
+# ---- value and derivative in one pass ----
+
+def pair_inputs():
+    """Normal, uniform +-1e4, k*pi/2 + {0, +-1e-9}, +-0.0 and both sides of
+    LeakySineLU's halving boundary."""
+    rng = np.random.default_rng(21)
+    near = np.arange(-8, 9)[:, None] * (np.pi / 2) + np.array([0.0, 1e-9, -1e-9])
+    return np.concatenate([rng.normal(size=297), rng.uniform(-1e4, 1e4, size=300),
+                           near.ravel(), [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300]])
+
+
+@pytest.mark.parametrize("name, params", [(name, {}) for name in zoo.ACTIVATION_NAMES] + [
+    ("snake", {"a": 0.37}), ("snake", {"a": -2.5}), ("elu", {"alpha": 0.5}),
+    ("prelu", {"alpha": 0.1}),
+])
+@pytest.mark.parametrize("shape", [(-1,), (3, 2, -1)])
+def test_value_and_derivative_equal_the_separate_calls(name, params, shape):
+    kind = zoo.activation(name, learnable=(), **params)
+    x = pair_inputs().reshape(shape)
+    value, deriv = zoo.array_value_and_derivative(kind, x)
+    assert same_bits(value, zoo.array_value(kind, x))
+    assert same_bits(deriv, zoo.array_derivative(kind, x))

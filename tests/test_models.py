@@ -299,6 +299,26 @@ class TestSerialization:
         with pytest.raises(DataError, match=f"ckpt.npz: checkpoint {message}"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("value, message", [
+        (np.zeros((8, 500), dtype=np.float32), "entry 'param/l1.W' has dtype float32, not"),
+        (np.zeros((8, 500), dtype=np.complex128), "entry 'param/l1.W' has dtype complex128,"),
+        (np.full((8, 500), "0.1"), "entry 'param/l1.W' has dtype <U3, not float64"),
+        (np.full((8, 500), None), "cannot read checkpoint entry 'param/l1.W': Object arrays"),
+        (np.full((8, 500), np.nan), "entry 'param/l1.W' holds a non-finite value"),
+        (np.where(np.eye(8, 500) > 0, np.inf, 0.5), "entry 'param/l1.W' holds a non-finite"),
+    ], ids=["float32", "complex128", "string", "object", "all-nan", "one-inf"])
+    def test_entry_that_is_not_finite_float64_is_a_data_error(self, tmp_path, value, message):
+        path = tmp_path / "ckpt.npz"
+        spec = build_mlp(8, 2, "relu")
+        state = init_params(spec, 0)
+        save_checkpoint(path, spec, state, Adam().init_state(state.params))
+        with np.load(path) as blob:
+            arrays = {k: blob[k] for k in blob.files}
+        arrays["param/l1.W"] = value
+        np.savez(path, **arrays)
+        with pytest.raises(DataError, match="ckpt.npz: (checkpoint )?" + message):
+            load_checkpoint(path)
+
     def test_hyper_parameters_of_no_optimizer_are_a_data_error(self, tmp_path):
         path = tmp_path / "ckpt.npz"
         self._save_edited(path, lambda meta: meta["optimizer"]["hyper"].update(momentum=0.9))
