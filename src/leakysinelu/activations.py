@@ -7,21 +7,25 @@ arrays and broadcast elementwise; parameter values may be arrays that
 broadcast against the input (a trainable per-channel prelu alpha or snake a).
 
 An activation is one record of this module's registry, keyed by its name:
-its value and derivative formulas, its property row (limits at +-inf,
-monotonicity, semi-periodic period), its parameter defaults, checks and
-trainable set, and its kink slopes. Adding an activation means adding one
-record, and nothing outside this file.
+one formula that gives its value and derivative together, its property row
+(limits at +-inf, monotonicity, semi-periodic period), its parameter
+defaults, checks and trainable set with the partial w.r.t. that parameter,
+and its kink slopes. Adding an activation means adding one record, and
+nothing outside this file.
 
 scipy is imported on first use, by GELU only, so a cell without GELU skips its import.
 
-LeakySineLU, which every model layer runs, is Snake at a = 1, halved for x <= 0.
-Both take one float64 tan per element: sin^2 y = T^2 / (1 + T^2) and
-sin 2y = 2T / (1 + T^2) with T = tan(y). Only sine takes a sin; see the note below.
-The value and the derivative share T and 1 + T^2, so
-``array_value_and_derivative``, which a training forward calls for a kind
-with no trainable parameter, takes one tan for both, and gives the same
-bits as separate ``array_value`` and ``array_derivative`` calls. Every other
-kind computes the two separately.
+A formula computes the term its value and derivative share once: a sigmoid
+(sigmoid, silu), a tanh, a normal CDF (gelu), or, for Snake and LeakySineLU
+(Snake at a = 1, halved for x <= 0), one float64 tan per element, through
+sin^2 y = T^2 / (1 + T^2) and sin 2y = 2T / (1 + T^2) with T = tan(y). Only
+sine takes a sin; see the note below. ``array_value_and_derivative`` is that
+call; ``array_value`` and ``array_derivative`` are its two halves, so each
+also computes, and drops, the other half. A training forward of a kind with
+no trainable parameter keeps both. Inference, which needs only values, pays
+for derivatives it drops: at the benchmark's FCN cell (L=128, B=16,
+LeakySineLU) about 44 ms of a 347 ms ``bench.evaluate`` on a 2-vCPU x86-64,
+1.5 % of that 3 s cell and far less of a 2000-epoch one.
 """
 
 from __future__ import annotations
@@ -124,23 +128,9 @@ def _ndtr(x):
 # without that tan, a tan costs about what a sin does (21 to 27 ns). Against the
 # sin formulas values stay within 9.4e-16 relative and derivatives within 4.4e-16
 # absolute on both paths (tests/test_leakysinelu_accuracy.py holds them to
-# 2e-15). Each formula fills one new buffer (out= keeps a 0-d input 0-d).
-def _sin_squared(y):
-    s = np.tan(y, out=np.empty_like(y))
-    np.square(s, out=s)
-    return np.divide(s, s + 1.0, out=s)
-
-
-def _sin_doubled(y):
-    t = np.tan(y, out=np.empty_like(y))
-    d = np.square(t) + 1.0
-    t *= 2.0
-    return np.divide(t, d, out=t)
-
-
+# 2e-15). The pair fills two new buffers (out= keeps a 0-d input 0-d).
 def _sin_pair(y):
-    """(sin^2 y, sin 2y) from one tan, bit for bit what ``_sin_squared`` and
-    ``_sin_doubled`` give, since both divide by the same 1 + T^2."""
+    """(sin^2 y, sin 2y) from one tan; both divide by the same 1 + T^2."""
     t = np.tan(y, out=np.empty_like(y))
     s = np.square(t, out=np.empty_like(t))
     d = s + 1.0
@@ -150,7 +140,7 @@ def _sin_pair(y):
 
 
 def _snake_pair(x, a):
-    """Snake's (value, derivative) at a fixed ``a``: x + sin^2(ax)/a, 1 + sin 2ax."""
+    """Snake's (value, derivative): x + sin^2(ax)/a, 1 + sin 2ax."""
     s, d = _sin_pair(a * x)
     s /= a
     s += x
@@ -160,7 +150,7 @@ def _snake_pair(x, a):
 
 def _leakysinelu_pair(x):
     s, d = _sin_pair(x)
-    return _leaky(s, x, x > 0), _leaky(d, 1.0, x >= 0)
+    return _leaky(s, x, x > 0), _leaky(d, 1.0, x >= 0)  # slope 1 at the kink
 
 
 def _leaky(v, plus, keep):
@@ -171,29 +161,23 @@ def _leaky(v, plus, keep):
     return v
 
 
-def _silu_deriv(x):
-    s = _sigmoid(x)
-    return s * (1.0 + x * (1.0 - s))
-
-
 @dataclass(frozen=True)
 class _Entry:
     """Everything known about one activation.
 
-    ``value``, ``derivative`` and ``param_derivative`` take ``(x, params)``
-    with x a float64 scalar or array; ``derivative`` gives the canonical
-    sub-gradient at a kink. ``limits`` are the limits at -inf and +inf (None
-    when there is none) and ``period`` maps the params to the semi-periodic
-    period. ``param_derivative`` is the partial w.r.t. the one parameter,
-    set only where that parameter may be trained. ``kink_slopes`` maps the
-    params to the one-sided slopes (left, right) at the kink x = 0, and
-    ``check`` maps them to an error message, or None when they are valid.
-    ``pair``, where set, gives (value, derivative) at scalar params in one
-    pass, bit for bit what the two formulas give.
+    ``formula`` takes ``(x, params)`` with x a float64 scalar or array and
+    gives ``(value, derivative)`` in one call, computing their shared term
+    (a sigmoid, a tanh, a normal CDF, one tan) once; the derivative is the
+    canonical sub-gradient at a kink. ``param_derivative`` takes the same
+    arguments and gives the partial w.r.t. the one parameter, set only where
+    that parameter may be trained. ``limits`` are the limits at -inf and +inf
+    (None when there is none) and ``period`` maps the params to the
+    semi-periodic period. ``kink_slopes`` maps the params to the one-sided
+    slopes (left, right) at the kink x = 0, and ``check`` maps them to an
+    error message, or None when they are valid.
     """
 
-    value: Callable
-    derivative: Callable
+    formula: Callable
     limits: tuple[float | None, float | None]
     monotonic: bool
     period: Callable | None = None
@@ -203,7 +187,6 @@ class _Entry:
     param_derivative: Callable | None = None
     kink_slopes: Callable | None = None
     check: Callable | None = None
-    pair: Callable | None = None
 
 
 _INF = float("inf")
@@ -211,68 +194,60 @@ _INF = float("inf")
 # Insertion order is ACTIVATION_NAMES, which orders sweep cells and stats columns.
 _REGISTRY: dict[str, _Entry] = {
     "sigmoid": _Entry(
-        value=lambda x, p: _sigmoid(x),
-        derivative=lambda x, p: _sigmoid(x) * (1.0 - _sigmoid(x)),
+        formula=lambda x, p: (s := _sigmoid(x), s * (1.0 - s)),
         limits=(0.0, 1.0), monotonic=True,
     ),
     "tanh": _Entry(
-        value=lambda x, p: np.tanh(x),
-        derivative=lambda x, p: 1.0 - np.square(np.tanh(x)),
+        formula=lambda x, p: (t := np.tanh(x), 1.0 - np.square(t)),
         limits=(-1.0, 1.0), monotonic=True,
     ),
     "sine": _Entry(
-        value=lambda x, p: np.sin(x),
-        derivative=lambda x, p: np.cos(x),
+        formula=lambda x, p: (np.sin(x), np.cos(x)),
         limits=(None, None), monotonic=False, period=lambda p: 2.0 * math.pi,
         deviation=("commonly tabulated as bounded in [0, 1]; sin(x) has no limit at +-inf "
                    "and its range is [-1, 1], so no limit is stored"),
     ),
     "relu": _Entry(
-        value=lambda x, p: np.maximum(0.0, x),
-        derivative=lambda x, p: np.where(x > 0, 1.0, 0.0),
+        formula=lambda x, p: (np.maximum(0.0, x), np.where(x > 0, 1.0, 0.0)),
         limits=(0.0, _INF), monotonic=True, kink_slopes=lambda p: (0.0, 1.0),
     ),
     "elu": _Entry(
-        value=lambda x, p: np.where(x > 0, x, p["alpha"] * np.expm1(np.minimum(x, 0.0))),
-        derivative=lambda x, p: np.where(x > 0, 1.0, p["alpha"] * np.exp(np.minimum(x, 0.0))),
+        formula=lambda x, p: (
+            np.where(pos := x > 0, x, p["alpha"] * np.expm1(neg := np.minimum(x, 0.0))),
+            np.where(pos, 1.0, p["alpha"] * np.exp(neg)),
+        ),
         limits=(-1.0, _INF), monotonic=True, defaults={"alpha": 1.0},
         check=lambda p: f"elu alpha must be > 0, got {p['alpha']}" if p["alpha"] <= 0 else None,
     ),
     "prelu": _Entry(
-        value=lambda x, p: np.where(x >= 0, x, p["alpha"] * x),
-        derivative=lambda x, p: np.where(x >= 0, 1.0, p["alpha"]),
+        formula=lambda x, p: (np.where(keep := x >= 0, x, p["alpha"] * x),
+                              np.where(keep, 1.0, p["alpha"])),
         limits=(-_INF, _INF), monotonic=True,
         defaults={"alpha": 0.25}, learnable=frozenset({"alpha"}),
         param_derivative=lambda x, p: np.where(x < 0, x, 0.0),
         kink_slopes=lambda p: (p["alpha"], 1.0),
     ),
     "gelu": _Entry(
-        value=lambda x, p: x * _ndtr(x),
-        derivative=lambda x, p: _ndtr(x) + x * _phi(x),
+        formula=lambda x, p: (x * (c := _ndtr(x)), c + x * _phi(x)),
         limits=(0.0, _INF), monotonic=False,
     ),
     "silu": _Entry(
-        value=lambda x, p: x * _sigmoid(x),
-        derivative=lambda x, p: _silu_deriv(x),
+        formula=lambda x, p: (x * (s := _sigmoid(x)), s * (1.0 + x * (1.0 - s))),
         limits=(0.0, _INF), monotonic=False,
     ),
     "snake": _Entry(
-        value=lambda x, p: x + _sin_squared(p["a"] * x) / p["a"],
-        derivative=lambda x, p: 1.0 + _sin_doubled(p["a"] * x),
+        formula=lambda x, p: _snake_pair(x, p["a"]),
         limits=(-_INF, _INF), monotonic=True, period=lambda p: math.pi / abs(p["a"]),
         defaults={"a": 1.0},
-        param_derivative=lambda x, p: (x * _sin_doubled(p["a"] * x) / p["a"]
-                                       - _sin_squared(p["a"] * x) / np.square(p["a"])),
+        param_derivative=lambda x, p: (x * (sd := _sin_pair(p["a"] * x))[1] / p["a"]
+                                       - sd[0] / np.square(p["a"])),
         check=lambda p: "snake a must be nonzero" if p["a"] == 0 else None,
-        pair=lambda x, p: _snake_pair(x, p["a"]),
     ),
     "leakysinelu": _Entry(
-        value=lambda x, p: _leaky(_sin_squared(x), x, x > 0),
-        derivative=lambda x, p: _leaky(_sin_doubled(x), 1.0, x >= 0),  # 1 at the kink
+        formula=lambda x, p: _leakysinelu_pair(x),
         limits=(-_INF, _INF), monotonic=True, period=lambda p: math.pi,
         # One-sided limits of sin(2x)+1 and its halved branch.
         kink_slopes=lambda p: (0.5, 1.0),
-        pair=lambda x, p: _leakysinelu_pair(x),
     ),
 }
 
@@ -324,33 +299,27 @@ def kind_from_dict(doc: dict) -> ActivationKind:
     return activation(doc["name"], learnable=frozenset(doc["learnable"]), **doc["params"])
 
 
-def array_value(kind, x, params=None) -> np.ndarray:
-    """Vectorized forward value; no domain checks (engine-internal path).
+def array_value_and_derivative(kind, x, params=None) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized ``(value, derivative)`` from the kind's one formula; no domain
+    checks (engine-internal path). The derivative is the canonical sub-gradient
+    at a kink.
 
     ``params`` replaces ``kind.params``; its values may be arrays that
     broadcast against ``x``.
     """
     kind = _as_kind(kind)
-    return _REGISTRY[kind.name].value(np.asarray(x, dtype=np.float64),
-                                      kind.params if params is None else params)
+    return _REGISTRY[kind.name].formula(np.asarray(x, dtype=np.float64),
+                                        kind.params if params is None else params)
+
+
+def array_value(kind, x, params=None) -> np.ndarray:
+    """The value of ``array_value_and_derivative``; the derivative is dropped."""
+    return array_value_and_derivative(kind, x, params)[0]
 
 
 def array_derivative(kind, x, params=None) -> np.ndarray:
-    """Vectorized analytic derivative with canonical sub-gradients at kinks."""
-    kind = _as_kind(kind)
-    return _REGISTRY[kind.name].derivative(np.asarray(x, dtype=np.float64),
-                                           kind.params if params is None else params)
-
-
-def array_value_and_derivative(kind, x) -> tuple[np.ndarray, np.ndarray]:
-    """``(array_value(kind, x), array_derivative(kind, x))`` bit for bit, at
-    ``kind.params``; one tan per element for Snake and LeakySineLU."""
-    kind = _as_kind(kind)
-    entry = _REGISTRY[kind.name]
-    x = np.asarray(x, dtype=np.float64)
-    if entry.pair is not None:
-        return entry.pair(x, kind.params)
-    return entry.value(x, kind.params), entry.derivative(x, kind.params)
+    """The derivative of ``array_value_and_derivative``; the value is dropped."""
+    return array_value_and_derivative(kind, x, params)[1]
 
 
 def param_derivative(kind, x, params) -> np.ndarray:

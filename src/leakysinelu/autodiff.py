@@ -14,9 +14,9 @@ of the op's inputs and only the arrays its backward reads. So no record
 holds an op's output data: once the caller drops it (``models.forward``
 rebinds its ``cur``), it is freed unless the next op keeps it as an input
 it reads. ``conv1d_same`` keeps its input, ``batch_norm1d`` its
-standardised input, ``activate`` the derivative (or, for a trainable
-parameter, its input), ``affine`` its input and ``dropout`` its mask;
-``global_avg_pool`` keeps only its input's shape.
+standardised input, ``activate`` the derivative its forward computed with
+the value (or, for a trainable parameter, its input), ``affine`` its input
+and ``dropout`` its mask; ``global_avg_pool`` keeps only its input's shape.
 """
 
 from __future__ import annotations
@@ -324,11 +324,14 @@ def activate(
     axis 1 of a (B,n) dense one. When omitted the fixed values in
     ``kind.params`` are used.
 
-    With a tape and no ``param``, the forward computes the derivative with
-    the value (``array_value_and_derivative``, one tan for Snake and
-    LeakySineLU) and keeps it in place of x, which is then freed with its
-    producer's output. With ``param``, x is kept: the backward needs it for
-    the parameter's gradient. Without a tape only the value is computed.
+    Each activation is one formula that gives the value and the derivative
+    together (``activations.array_value_and_derivative``). With a tape and
+    no ``param``, the forward keeps that derivative in place of x, which is
+    then freed with its producer's output. With ``param``, x is kept: the
+    backward needs it for the parameter's gradient. So the forward takes
+    the value (``array_value``) and the backward the derivative
+    (``array_derivative``), each dropping the other half. Without a tape
+    only the value is kept; the derivative is computed and dropped.
     """
     xd, xs = x.data, x.slot
     if param is None:

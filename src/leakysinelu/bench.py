@@ -23,6 +23,7 @@ from __future__ import annotations
 import concurrent.futures
 import hashlib
 import json
+import math
 import os
 import time
 from concurrent.futures.process import BrokenProcessPool
@@ -108,9 +109,18 @@ class TrainConfig:
         _known("architecture", self.architecture, ARCH_DEFAULTS)
         _known("optimizer", self.optimizer, OPTIMIZERS)
         _known("znorm", self.znorm, ZNORM_MODES)
+        lr = self.learning_rate
+        if isinstance(lr, bool) or not isinstance(lr, (int, float)) \
+                or not (math.isfinite(lr) and lr > 0):
+            raise ConfigError(f"learning_rate must be a finite number > 0, got {lr!r}")
+        # 1 and 1.0 are one rate, so they must hash to one cell.
+        object.__setattr__(self, "learning_rate", float(lr))
         for name, least in (("epochs", 0), ("batch_size", 1), ("seed", 0)):
-            if getattr(self, name) < least:
-                raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name} must be an int, got {value!r}")
+            if value < least:
+                raise ConfigError(f"{name} must be >= {least}, got {value}")
         if self.architecture == "mlp" and self.norm_enabled:
             raise ConfigError("norm_enabled must be False for mlp: it has no normalization layer")
 

@@ -74,8 +74,8 @@ def check_semi_periodicity(
     kind, period: float, region: tuple[float, float], n: int = 1000
 ) -> float:
     """max |sigma'(x + T) - sigma'(x)| over an open grid inside one region."""
-    if period <= 0:
-        raise ConfigError(f"period must be positive, got {period}")
+    if not (math.isfinite(period) and period > 0):
+        raise ConfigError(f"period must be finite and positive, got {period}")
     if n < 1000:
         raise ConfigError("semi-periodicity grid needs at least 1000 points")
     kind = zoo._as_kind(kind)

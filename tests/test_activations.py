@@ -230,8 +230,7 @@ class TestRegistry:
 
     def test_one_entry_adds_an_activation(self, monkeypatch):
         identity = zoo._Entry(
-            value=lambda x, p: x,
-            derivative=lambda x, p: np.ones_like(x),
+            formula=lambda x, p: (x, np.ones_like(x)),
             limits=(-math.inf, math.inf), monotonic=True,
         )
         monkeypatch.setattr(zoo, "_REGISTRY", {**zoo._REGISTRY, "identity": identity})

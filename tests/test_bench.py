@@ -57,6 +57,30 @@ class TestTrainConfig:
             TrainConfig.for_architecture("mlp", "relu", norm_enabled=True)
         assert not TrainConfig.for_architecture("fcn", "relu", norm_enabled=False).norm_enabled
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 0.0, -1.0,
+                                       True, "1.0"])
+    def test_learning_rate_not_a_finite_positive_number_rejected(self, value):
+        # A NaN rate would train to a cell that diverges at epoch 0.
+        with pytest.raises(ConfigError, match="learning_rate must be a finite number > 0"):
+            TrainConfig.for_architecture("mlp", "relu", learning_rate=value)
+        doc = TrainConfig.for_architecture("mlp", "relu").to_dict()
+        doc["learning_rate"] = value
+        with pytest.raises(ConfigError, match="learning_rate"):
+            TrainConfig.from_dict(doc)
+
+    @pytest.mark.parametrize("field", ["epochs", "batch_size", "seed"])
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, "2", np.int64(2)])
+    def test_integer_setting_that_is_not_an_int_rejected(self, field, value):
+        # epochs=2.5 would fail the cell with a TypeError from range().
+        with pytest.raises(ConfigError, match=f"{field} must be an int, got "):
+            TrainConfig.for_architecture("fcn", "relu", **{field: value})
+
+    def test_int_learning_rate_is_the_same_cell_as_its_float(self):
+        cfg = TrainConfig.for_architecture("mlp", "relu", learning_rate=2)
+        assert type(cfg.learning_rate) is float
+        assert cell_hash("S1", cfg) == cell_hash(
+            "S1", TrainConfig.for_architecture("mlp", "relu", learning_rate=2.0))
+
     def test_direct_construction_by_keyword(self):
         cfg = TrainConfig(architecture="mlp", activation=zoo.activation("relu"),
                           optimizer="adadelta", learning_rate=1.0, epochs=10,
@@ -200,9 +224,10 @@ class TestSweep:
         root = make_ucr_root(tmp_path / "ucr", ["S1"], n_train=8, n_test=8, length=12)
         store = self._store(tmp_path)
         blown = dict(zoo._REGISTRY)
+        sine = blown["sine"].formula
         blown["sine"] = dataclasses.replace(
             blown["sine"],
-            value=lambda x, p: np.full_like(np.asarray(x, dtype=np.float64), np.inf),
+            formula=lambda x, p: (np.full_like(x, np.inf), sine(x, p)[1]),
         )
         monkeypatch.setattr(zoo, "_REGISTRY", blown)
         out = run_sweep(["S1"], ["relu", "sine"], "mlp", root, store, overrides={"epochs": 2})

@@ -1,6 +1,6 @@
 """``tools/bench_pairs.py``: its seed lists, its workload choices, which
-come from BENCHMARK.json, its summary of the pairs, and its clean-up when
-it is stopped."""
+come from BENCHMARK.json, its summary of the pairs, how a rerun adds to a
+file, and its clean-up when it is stopped."""
 
 import importlib.util
 import json
@@ -80,6 +80,68 @@ def test_summarize_with_no_pair_left_has_no_medians():
     assert got["step_ms"] == {"pairs": 0, "parent_median": None, "change_median": None,
                               "parent_iqr": 0.0, "change_wins": 0, "change_losses": 0}
     assert got["failed"]["change"] == {"runs": 1, "operations": 4}
+
+
+def fake_bench(monkeypatch, tmp_path, commits):
+    """Point bench_pairs at ``tmp_path`` with ``commits`` (rev -> sha) for git
+    and stand-ins for extract and run_once; returns the runs' (side, seed) list."""
+    (tmp_path / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    runs = []
+
+    def run_once(tree, workload, seed, seconds):
+        side = "change" if tree == tmp_path else "parent"
+        runs.append((side, seed))
+        values = {m["name"]: float(len(runs)) for m in spec["end_to_end"]}
+        values.update(correct=True, failed=0)
+        return {"values": values, "digest": f"{side} {seed}", "env": {"numpy": "x"}}
+
+    monkeypatch.setattr(bench_pairs.signal, "signal", lambda signum, handler: None)
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pairs, "git", lambda cmd, rev: commits[rev])
+    monkeypatch.setattr(bench_pairs, "extract", lambda rev, dest: dest)
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    return runs
+
+
+def call(workload, pairs, parent="HEAD"):
+    return bench_pairs.main(["--topic", "t", "--parent", parent, "--workload", workload,
+                             "--pairs", str(pairs), "--seeds", "1,2"])
+
+
+def test_rerun_appends_its_pairs_and_summarises_all(monkeypatch, tmp_path):
+    runs = fake_bench(monkeypatch, tmp_path, {"HEAD": "a" * 40})
+    assert call("mlp_cell", 2) == 0 and call("sweep", 1) == 0
+    first = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert call("mlp_cell", 3) == 0
+    doc = json.loads((tmp_path / "BENCH_t.json").read_text())
+    pairs = doc["workloads"]["mlp_cell"]["pairs"]
+    assert pairs[:2] == first["workloads"]["mlp_cell"]["pairs"]
+    assert [p["seed"] for p in pairs] == [1, 2, 1, 2, 1]
+    # the parent runs first in the even-numbered pairs of the list, across calls
+    assert [p["first"] for p in pairs] == ["parent", "change"] * 2 + ["parent"]
+    assert runs[6:] == [("parent", 1), ("change", 1), ("change", 2), ("parent", 2),
+                        ("parent", 1), ("change", 1)]
+    summary = doc["summary"]["mlp_cell"]
+    assert summary == bench_pairs.summarize(pairs, json.loads(
+        (tmp_path / "BENCHMARK.json").read_text())["end_to_end"])
+    assert summary["cell_s"]["pairs"] == 5
+    assert doc["workloads"]["sweep"] == first["workloads"]["sweep"]
+    assert doc["commits"]["parent"] == "a" * 40
+
+
+def test_rerun_against_another_parent_exits_naming_the_file(monkeypatch, tmp_path):
+    runs = fake_bench(monkeypatch, tmp_path, {"HEAD": "a" * 40, "HEAD~1": "b" * 40})
+    assert call("mlp_cell", 1) == 0
+    before = (tmp_path / "BENCH_t.json").read_text()
+    del runs[:]
+    with pytest.raises(SystemExit, match=r"BENCH_t\.json was measured against parent a+, "
+                                         r"not b+"):
+        call("mlp_cell", 1, parent="HEAD~1")
+    with pytest.raises(SystemExit, match=r"BENCH_t\.json"):
+        call("fcn_cell", 1, parent="HEAD~1")
+    assert runs == []
+    assert (tmp_path / "BENCH_t.json").read_text() == before
 
 
 # A bench_pairs run whose parent tree is a stand-in: its perfbench/run.py

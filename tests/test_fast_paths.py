@@ -1,18 +1,21 @@
 """The fast paths of the FCN step against the plain formulas they replaced.
 
 The conv kernels build the window matrix without a padded copy of the input,
-each inside the kernel that multiplies by it, batch norm works in place, and
-LeakySineLU fills one output buffer. None of that may change a single bit,
-so each test below compares against a copy of the plain, allocation-heavy
-formula in the same (C, B, L) layout with ``np.array_equal`` (and, for the
-activation, the sign of zero too).
+each inside the kernel that multiplies by it, batch norm works in place,
+LeakySineLU fills one output buffer, and each activation gives its value and
+derivative from one formula. None of that may change a single bit, so each
+test below compares against a copy of the plain, allocation-heavy formula in
+the same (C, B, L) layout with ``np.array_equal`` (and, for the activations,
+the sign of zero too).
 """
 
 import gc
+import math
 import weakref
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from leakysinelu import activations as zoo
 from leakysinelu import autodiff as ad
@@ -241,7 +244,75 @@ def test_each_conv_builds_its_window_once_per_pass_and_drops_it(monkeypatch):
     assert live == []
 
 
-# ---- value and derivative in one pass ----
+# ---- one formula per activation ----
+# The value, derivative and parameter-derivative formulas that each kind had
+# before its value and derivative became one call, copied as they were. Each
+# formula must give the same bits as these.
+
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+
+def _sigmoid(x):
+    z = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+
+
+def _phi(x):
+    return np.exp(-0.5 * np.square(x)) / _SQRT_2PI
+
+
+def _sin_squared(y):
+    s = np.tan(y, out=np.empty_like(y))
+    np.square(s, out=s)
+    return np.divide(s, s + 1.0, out=s)
+
+
+def _sin_doubled(y):
+    t = np.tan(y, out=np.empty_like(y))
+    d = np.square(t) + 1.0
+    t *= 2.0
+    return np.divide(t, d, out=t)
+
+
+def _leaky(v, plus, keep):
+    v += plus
+    v *= 0.5 + 0.5 * keep
+    return v
+
+
+def _silu_deriv(x):
+    s = _sigmoid(x)
+    return s * (1.0 + x * (1.0 - s))
+
+
+REF = {  # name -> (value, derivative)
+    "sigmoid": (lambda x, p: _sigmoid(x),
+                lambda x, p: _sigmoid(x) * (1.0 - _sigmoid(x))),
+    "tanh": (lambda x, p: np.tanh(x),
+             lambda x, p: 1.0 - np.square(np.tanh(x))),
+    "sine": (lambda x, p: np.sin(x),
+             lambda x, p: np.cos(x)),
+    "relu": (lambda x, p: np.maximum(0.0, x),
+             lambda x, p: np.where(x > 0, 1.0, 0.0)),
+    "elu": (lambda x, p: np.where(x > 0, x, p["alpha"] * np.expm1(np.minimum(x, 0.0))),
+            lambda x, p: np.where(x > 0, 1.0, p["alpha"] * np.exp(np.minimum(x, 0.0)))),
+    "prelu": (lambda x, p: np.where(x >= 0, x, p["alpha"] * x),
+              lambda x, p: np.where(x >= 0, 1.0, p["alpha"])),
+    "gelu": (lambda x, p: x * ndtr(x),
+             lambda x, p: ndtr(x) + x * _phi(x)),
+    "silu": (lambda x, p: x * _sigmoid(x),
+             lambda x, p: _silu_deriv(x)),
+    "snake": (lambda x, p: x + _sin_squared(p["a"] * x) / p["a"],
+              lambda x, p: 1.0 + _sin_doubled(p["a"] * x)),
+    "leakysinelu": (lambda x, p: _leaky(_sin_squared(x), x, x > 0),
+                    lambda x, p: _leaky(_sin_doubled(x), 1.0, x >= 0)),
+}
+REF_PARAM = {
+    "prelu": lambda x, p: np.where(x < 0, x, 0.0),
+    "snake": lambda x, p: (x * _sin_doubled(p["a"] * x) / p["a"]
+                           - _sin_squared(p["a"] * x) / np.square(p["a"])),
+}
+
 
 def pair_inputs():
     """Normal, uniform +-1e4, k*pi/2 + {0, +-1e-9}, +-0.0 and both sides of
@@ -252,14 +323,37 @@ def pair_inputs():
                            near.ravel(), [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300]])
 
 
+def check_formula(name, x, params):
+    value, deriv = zoo._REGISTRY[name].formula(x, params)
+    assert same_bits(value, REF[name][0](x, params))
+    assert same_bits(deriv, REF[name][1](x, params))
+    kind = zoo.activation(name, learnable=())
+    for got in (zoo.array_value_and_derivative(kind, x, params),
+                (zoo.array_value(kind, x, params), zoo.array_derivative(kind, x, params))):
+        assert same_bits(got[0], value) and same_bits(got[1], deriv)
+    if name in REF_PARAM:
+        assert same_bits(zoo.param_derivative(kind, x, params), REF_PARAM[name](x, params))
+
+
 @pytest.mark.parametrize("name, params", [(name, {}) for name in zoo.ACTIVATION_NAMES] + [
     ("snake", {"a": 0.37}), ("snake", {"a": -2.5}), ("elu", {"alpha": 0.5}),
     ("prelu", {"alpha": 0.1}),
 ])
 @pytest.mark.parametrize("shape", [(-1,), (3, 2, -1)])
-def test_value_and_derivative_equal_the_separate_calls(name, params, shape):
-    kind = zoo.activation(name, learnable=(), **params)
-    x = pair_inputs().reshape(shape)
-    value, deriv = zoo.array_value_and_derivative(kind, x)
-    assert same_bits(value, zoo.array_value(kind, x))
-    assert same_bits(deriv, zoo.array_derivative(kind, x))
+def test_formula_equals_the_earlier_formulas(name, params, shape):
+    params = {**zoo.activation(name).params, **params}
+    check_formula(name, pair_inputs().reshape(shape), params)
+
+
+@pytest.mark.parametrize("name, key, values", [
+    ("prelu", "alpha", [0.25, 0.1, -0.3]), ("snake", "a", [1.0, 0.37, -2.5])])
+@pytest.mark.parametrize("layout", ["conv", "dense"])
+def test_formula_equals_the_earlier_formulas_at_per_channel_params(name, key, values, layout):
+    # A trainable parameter, one value per channel: (C, 1, 1) against a conv
+    # activation (C, B, L), (1, n) against a dense one (B, n).
+    if layout == "conv":
+        x, param = pair_inputs().reshape(3, 2, -1), np.array(values).reshape(-1, 1, 1)
+    else:
+        x = pair_inputs().reshape(6, -1)
+        param = np.resize(values, x.shape[1])[None, :]
+    check_formula(name, x, {key: param})

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from leakysinelu import activations as zoo
-from leakysinelu.errors import ContractError
+from leakysinelu.errors import ConfigError, ContractError
 from leakysinelu.properties import (
     FourierSeries,
     affine_collapse,
@@ -56,6 +56,12 @@ class TestSemiPeriodicity:
     def test_sigmoid_not_semi_periodic(self):
         dev = check_semi_periodicity("sigmoid", math.pi, (-5.0, 5.0))
         assert dev > 0.01
+
+    @pytest.mark.parametrize("period", [math.nan, math.inf, -math.inf, 0.0, -math.pi])
+    def test_period_not_finite_and_positive_rejected(self, period):
+        # A NaN period would give nan as the maximum deviation.
+        with pytest.raises(ConfigError, match="period must be finite and positive"):
+            check_semi_periodicity("leakysinelu", period, (0.0, 20.0))
 
     def test_leakysinelu_checked_per_branch(self):
         assert semi_periodic_regions("leakysinelu") == ((0.0, 20.0), (-20.0, -math.pi))

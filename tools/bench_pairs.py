@@ -7,8 +7,9 @@ Usage (from the repository root):
 
 The parent is extracted with ``git archive <rev> | tar -x`` into a temporary
 directory (git state is not touched); the change is the working tree. Each
-run lasts BENCHMARK.json's ``run_seconds``. Pair i runs seed
-``seeds[i % len(seeds)]`` on both sides, the parent first when i is even.
+run lasts BENCHMARK.json's ``run_seconds``. The i-th pair of a call runs
+seed ``seeds[i % len(seeds)]`` on both sides; the parent runs first in the
+even-numbered pairs of the workload's list, so appended pairs keep alternating.
 ``--digest-seeds`` adds one ``--seconds 1`` run per side and seed, to compare
 the determinism digests. Results go to ``BENCH_<topic>.json`` at the root:
 the per-pair metric values, each side's median, the parent's interquartile
@@ -18,9 +19,11 @@ how many pairs that left out, each side's failed runs and failed operations,
 the digests and the machine stamp (the report's env, the C library and its
 malloc environment variables). ``--workload`` is one of BENCHMARK.json's
 workloads. An existing file is updated in place, one workload at a time, so
-several calls can fill one file. SIGTERM and SIGINT stop it cleanly: the
-running benchmark is killed and the temporary directory removed.
-Standard library only.
+several calls can fill one file: a call for a workload the file already has
+appends its pairs and summarises all of them. A file measured against another
+parent commit is left alone, and the call exits naming it before it runs
+anything. SIGTERM and SIGINT stop it cleanly: the running benchmark is killed
+and the temporary directory removed. Standard library only.
 """
 
 from __future__ import annotations
@@ -142,13 +145,20 @@ def main(argv=None) -> int:
     signal.signal(signal.SIGTERM, exit_on_signal)
     out_path = ROOT / f"BENCH_{args.topic}.json"
     doc = json.loads(out_path.read_text()) if out_path.is_file() else {}
+    parent = git("rev-parse", args.parent)
+    recorded = doc.get("commits", {}).get("parent", parent)
+    if recorded != parent:
+        raise SystemExit(f"bench_pairs: {out_path.name} was measured against parent {recorded}, "
+                         f"not {parent}; choose another --topic")
+    kept = doc.get("workloads", {}).get(args.workload, {"pairs": []})["pairs"]
     work = Path(tempfile.mkdtemp(prefix="bench_pairs-"))
     try:
         sides = {"parent": extract(args.parent, work / "parent"), "change": ROOT}
         pairs, env = [], None
         for i in range(args.pairs):
             seed = args.seeds[i % len(args.seeds)]
-            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            first = (len(kept) + i) % 2 == 0
+            order = ("parent", "change") if first else ("change", "parent")
             pair = {"seed": seed, "first": order[0]}
             for side in order:
                 run = run_once(sides[side], args.workload, seed, spec["run_seconds"])
@@ -172,17 +182,18 @@ def main(argv=None) -> int:
     doc["command"] = "python3 perfbench/run.py --workload <w> --seed <s> --seconds " \
                      f"{spec['run_seconds']:g} --trace 0"
     doc["method"] = ("alternating parent/change pairs, each side run from its own tree; "
-                     "pair i runs the parent first when i is even. Digests: one run per "
-                     "side with --seconds 1.")
-    doc["commits"] = {"parent": git("rev-parse", args.parent),
+                     "pair i of a workload's list runs the parent first when i is even. "
+                     "Digests: one run per side with --seconds 1.")
+    doc["commits"] = {"parent": parent,
                       "change": f"working tree on {git('rev-parse', 'HEAD')}"}
     if env is not None:
         doc["machine"] = {k: v for k, v in env.items() if k not in ("commit", "src_sha256")}
         doc["machine"]["libc"] = " ".join(platform.libc_ver())
         doc["machine"].update({k: os.environ.get(k) for k in MALLOC_ENV})
     if pairs:
-        doc.setdefault("workloads", {})[args.workload] = {"pairs": pairs}
-        doc.setdefault("summary", {})[args.workload] = summarize(pairs, spec["end_to_end"])
+        kept = kept + pairs
+        doc.setdefault("workloads", {})[args.workload] = {"pairs": kept}
+        doc.setdefault("summary", {})[args.workload] = summarize(kept, spec["end_to_end"])
     out_path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     print(f"wrote {out_path.relative_to(ROOT)}")
     return 0
