@@ -17,6 +17,11 @@ it reads. ``conv1d_same`` keeps its input, ``batch_norm1d`` its
 standardised input, ``activate`` the derivative its forward computed with
 the value (or, for a trainable parameter, its input), ``affine`` its input
 and ``dropout`` its mask; ``global_avg_pool`` keeps only its input's shape.
+
+Gradients change hands without a copy. A closure may hand ``_accumulate``
+an array it saved or made, which becomes the input's ``.grad`` as it is; a
+second gradient into the same slot is added out of place. So nothing writes
+into a gradient it receives, which may be a read-only view.
 """
 
 from __future__ import annotations
@@ -111,8 +116,10 @@ class Tape:
         """Propagate d(loss)/d(node) to every tensor reachable from loss.
 
         Each record is popped as it runs, which frees what its op saved; a
-        second call raises ContractError. Leaf gradients accumulate and are
-        the caller's to clear.
+        second call raises ContractError. A closure reads the gradient it
+        receives and writes nothing into it; what it hands on (an array it
+        saved or made) is stored, not copied (see the module note). Leaf
+        gradients accumulate and are the caller's to clear.
         """
         if loss.data.size != 1:
             raise ShapeError(f"loss must be scalar, got shape {loss.data.shape}")
@@ -137,14 +144,7 @@ def _accumulate(t: Grad, g, op: str) -> None:
         return
     if not np.isfinite(np.sum(g)):
         raise NumericError(f"non-finite gradient flowing into input of {op}")
-    if t.grad is None:
-        # Always a copy: a later ``+=`` writes into ``.grad``, and ``g`` may be a
-        # view or another tensor's gradient. Skipping it for arrays an op has
-        # just made saved 2-3 MB of an FCN cell's peak RSS and no step time
-        # beyond the noise, once freed memory stays on the heap (``bench``).
-        t.grad = np.array(g, dtype=np.float64)
-    else:
-        t.grad += g
+    t.grad = g if t.grad is None else t.grad + g
 
 
 def _emit(tape: Tape | None, op: str, data: np.ndarray, backward_fn,
@@ -325,18 +325,16 @@ def activate(
     ``kind.params`` are used.
 
     Each activation is one formula that gives the value and the derivative
-    together (``activations.array_value_and_derivative``). With a tape and
-    no ``param``, the forward keeps that derivative in place of x, which is
-    then freed with its producer's output. With ``param``, x is kept: the
+    together (``activations.array_value_and_derivative``). With no
+    ``param``, the forward keeps that derivative in place of x, which is
+    then freed with its producer's output; without a tape ``_emit`` drops
+    the backward and the derivative with it. With ``param``, x is kept: the
     backward needs it for the parameter's gradient. So the forward takes
     the value (``array_value``) and the backward the derivative
-    (``array_derivative``), each dropping the other half. Without a tape
-    only the value is kept; the derivative is computed and dropped.
+    (``array_derivative``), each dropping the other half.
     """
     xd, xs = x.data, x.slot
     if param is None:
-        if tape is None:
-            return _emit(None, kind.name, zoo.array_value(kind, xd), None)
         out_data, deriv = zoo.array_value_and_derivative(kind, xd)
 
         def bwd(g):

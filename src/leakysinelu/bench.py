@@ -121,6 +121,9 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be an int, got {value!r}")
             if value < least:
                 raise ConfigError(f"{name} must be >= {least}, got {value}")
+        # build_fcn reads only its truth, so "no" or 0 would hash a cell of its own.
+        if not isinstance(self.norm_enabled, bool):
+            raise ConfigError(f"norm_enabled must be a bool, got {self.norm_enabled!r}")
         if self.architecture == "mlp" and self.norm_enabled:
             raise ConfigError("norm_enabled must be False for mlp: it has no normalization layer")
 

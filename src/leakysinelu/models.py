@@ -9,6 +9,7 @@ Binary problems use a single sigmoid logit, multi-class a softmax head.
 from __future__ import annotations
 
 import json
+import os
 import zipfile
 from dataclasses import dataclass, field, fields
 from typing import Any
@@ -232,7 +233,12 @@ def predict(spec: ModelSpec, state: ModelState, x: np.ndarray) -> np.ndarray:
 
 
 def save_checkpoint(path, spec: ModelSpec, state: ModelState, opt_state) -> None:
-    """Write spec, parameters, buffers and optimizer slots to one .npz file."""
+    """Write spec, parameters, buffers and optimizer slots to one .npz file.
+
+    The archive goes to ``<name>.tmp`` beside ``path`` and is then moved onto
+    ``path`` itself (no suffix is added), so a crash mid-write leaves an
+    earlier checkpoint there whole. On an error the temporary file is removed.
+    """
     arrays: dict[str, np.ndarray] = {}
     for name, arr in state.params.items():
         arrays[f"param/{name}"] = arr
@@ -248,7 +254,15 @@ def save_checkpoint(path, spec: ModelSpec, state: ModelState, opt_state) -> None
         for slot, arr in slots.items():
             arrays[f"opt/{name}/{slot}"] = arr
     arrays["meta"] = np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8)
-    np.savez(path, **arrays)
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as f:  # a handle: np.savez adds ".npz" to a name without it
+            np.savez(f, **arrays)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def _rebuild(spec: ModelSpec) -> ModelSpec | None:

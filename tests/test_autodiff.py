@@ -326,10 +326,11 @@ class TestActivate:
 
         fd_check(build, [x, a], tol=1e-6)
 
-    def test_fixed_parameter_path_matches_zoo(self):
+    @pytest.mark.parametrize("name", zoo.ACTIVATION_NAMES)
+    def test_fixed_parameter_path_matches_zoo(self, name):
         rng = np.random.default_rng(13)
         x = rng.normal(size=(3, 4))
-        kind = zoo.activation("elu")
+        kind = zoo.activation(name)
         out = ad.activate(ad.Tensor(x), kind)
         assert np.array_equal(out.data, zoo.array_value(kind, x))
 
@@ -415,6 +416,65 @@ class TestBackward:
     def test_nonfinite_forward_raises(self):
         with pytest.raises(NumericError):
             ad.affine(ad.Tensor([[1e308]]), ad.Tensor([[1e308]]), ad.Tensor([0.0]))
+
+
+def add(a: ad.Tensor, b: ad.Tensor, tape: ad.Tape) -> ad.Tensor:
+    """a + b, recorded on ``tape``: a join, so that one tensor can reach the
+    loss along two paths."""
+    out, sa, sb = ad.Tensor(a.data + b.data), a.slot, b.slot
+
+    def bwd(g):
+        ad._accumulate(sa, g, "add")
+        ad._accumulate(sb, g, "add")
+
+    tape.record("add", out.slot, bwd)
+    return out
+
+
+class TestGradientOwnership:
+    """An input's ``.grad`` is the array its op handed over, not a copy, and a
+    second gradient is added out of place."""
+
+    def test_conv_input_gradient_is_the_array_the_kernel_made(self, monkeypatch):
+        made, real = [], kernels.conv1d_grad_input
+
+        def spy(*args):
+            made.append(real(*args))
+            return made[-1]
+
+        monkeypatch.setattr(kernels, "conv1d_grad_input", spy)
+        rng = np.random.default_rng(15)
+        x = ad.Tensor(rng.normal(size=(3, 2, 7)))
+        w, b = ad.Tensor(rng.normal(size=(4, 3, 5))), ad.Tensor(rng.normal(size=4))
+        tape = ad.Tape()
+        tape.backward(ad.mse(ad.conv1d_same(x, w, b, tape), np.zeros((4, 2, 7)), tape))
+        assert len(made) == 1 and x.grad is made[0]
+
+    def test_second_gradient_is_added_without_writing_into_either(self, monkeypatch):
+        # x feeds activate, then global_avg_pool, so backward hands x the
+        # pool's read-only broadcast view first and the activation's gradient
+        # second.
+        rng = np.random.default_rng(16)
+        x = ad.Tensor(rng.normal(size=(3, 2, 5)))
+        handed, accumulate = [], ad._accumulate
+
+        def spy(slot, g, op):
+            if slot is x.slot:
+                handed.append((op, g, g.copy()))
+            accumulate(slot, g, op)
+
+        monkeypatch.setattr(ad, "_accumulate", spy)
+        tape = ad.Tape()
+        via_tanh = ad.global_avg_pool(ad.activate(x, zoo.activation("tanh"), tape), tape)
+        pooled = ad.global_avg_pool(x, tape)
+        tape.backward(ad.mse(add(via_tanh, pooled, tape), rng.normal(size=(2, 3)), tape))
+        (first_op, view, view_was), (second_op, dx, dx_was) = handed
+        assert (first_op, second_op) == ("global_avg_pool", "tanh")
+        assert not view.flags.writeable and view.strides[2] == 0
+        expected = np.array(view)
+        expected += dx
+        assert x.grad.tobytes() == expected.tobytes()
+        assert view.tobytes() == view_was.tobytes() and dx.tobytes() == dx_was.tobytes()
 
 
 class TestWhatTheTapeKeeps:

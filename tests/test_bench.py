@@ -68,11 +68,15 @@ class TestTrainConfig:
         with pytest.raises(ConfigError, match="learning_rate"):
             TrainConfig.from_dict(doc)
 
-    @pytest.mark.parametrize("field", ["epochs", "batch_size", "seed"])
-    @pytest.mark.parametrize("value", [2.5, 2.0, True, "2", np.int64(2)])
-    def test_integer_setting_that_is_not_an_int_rejected(self, field, value):
-        # epochs=2.5 would fail the cell with a TypeError from range().
-        with pytest.raises(ConfigError, match=f"{field} must be an int, got "):
+    @pytest.mark.parametrize("field, value, wanted", [
+        *((field, value, "an int") for field in ("epochs", "batch_size", "seed")
+          for value in (2.5, 2.0, True, "2", np.int64(2))),
+        ("norm_enabled", "no", "a bool"), ("norm_enabled", 0, "a bool"),
+    ])
+    def test_setting_of_the_wrong_type_rejected(self, field, value, wanted):
+        # epochs=2.5 would fail the cell with a TypeError from range(), and
+        # norm_enabled="no" build batch norm under a cell hash of its own.
+        with pytest.raises(ConfigError, match=f"{field} must be {wanted}, got "):
             TrainConfig.for_architecture("fcn", "relu", **{field: value})
 
     def test_int_learning_rate_is_the_same_cell_as_its_float(self):

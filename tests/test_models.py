@@ -1,4 +1,6 @@
+import io
 import json
+import os
 
 import numpy as np
 import pytest
@@ -157,6 +159,29 @@ class TestSerialization:
         for name in opt_state.slots:
             for slot in opt_state.slots[name]:
                 assert np.array_equal(opt_state.slots[name][slot], opt2.slots[name][slot])
+
+    def test_failed_rewrite_keeps_the_earlier_checkpoint(self, tmp_path, monkeypatch):
+        spec = build_mlp(8, 2, "relu")
+        state = init_params(spec, 0)
+        opt_state = Adam().init_state(state.params)
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(path, spec, state, opt_state)
+        before, savez = path.read_bytes(), np.savez
+
+        def torn_savez(file, **arrays):
+            """Write the first half of the real archive, then fail."""
+            buf = io.BytesIO()
+            savez(buf, **arrays)
+            with open(file, "wb") if isinstance(file, (str, os.PathLike)) else file as f:
+                f.write(buf.getvalue()[: buf.tell() // 2])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez", torn_savez)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, spec, init_params(spec, 1), opt_state)
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt.npz"]
+        assert path.read_bytes() == before
+        assert load_checkpoint(path)[1].seed == 0
 
     @pytest.mark.parametrize("opt, hyper, slots", [
         (Adam(), {"lr": 0.001, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8}, ["m", "v"]),

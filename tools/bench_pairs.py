@@ -133,6 +133,22 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
     return out
 
 
+def check_parent(doc: dict, parent: str, out_path: Path, tool: str) -> None:
+    """Exit, naming ``out_path``, if its ``doc`` was measured against a parent
+    commit other than ``parent``."""
+    recorded = doc.get("commits", {}).get("parent", parent)
+    if recorded != parent:
+        raise SystemExit(f"{tool}: {out_path.name} was measured against parent {recorded}, "
+                         f"not {parent}; choose another --topic")
+
+
+def order(index: int) -> tuple[str, str]:
+    """The sides of the ``index``-th pair of a list in run order: the parent
+    first when ``index`` is even, so pairs appended by a later call keep
+    alternating."""
+    return ("parent", "change") if index % 2 == 0 else ("change", "parent")
+
+
 def exit_on_signal(signum, frame):
     """Stop as SystemExit, so that ``finally`` blocks run and ``subprocess.run``
     kills the benchmark it is waiting for."""
@@ -146,10 +162,7 @@ def main(argv=None) -> int:
     out_path = ROOT / f"BENCH_{args.topic}.json"
     doc = json.loads(out_path.read_text()) if out_path.is_file() else {}
     parent = git("rev-parse", args.parent)
-    recorded = doc.get("commits", {}).get("parent", parent)
-    if recorded != parent:
-        raise SystemExit(f"bench_pairs: {out_path.name} was measured against parent {recorded}, "
-                         f"not {parent}; choose another --topic")
+    check_parent(doc, parent, out_path, "bench_pairs")
     kept = doc.get("workloads", {}).get(args.workload, {"pairs": []})["pairs"]
     work = Path(tempfile.mkdtemp(prefix="bench_pairs-"))
     try:
@@ -157,10 +170,9 @@ def main(argv=None) -> int:
         pairs, env = [], None
         for i in range(args.pairs):
             seed = args.seeds[i % len(args.seeds)]
-            first = (len(kept) + i) % 2 == 0
-            order = ("parent", "change") if first else ("change", "parent")
-            pair = {"seed": seed, "first": order[0]}
-            for side in order:
+            sides_in_order = order(len(kept) + i)
+            pair = {"seed": seed, "first": sides_in_order[0]}
+            for side in sides_in_order:
                 run = run_once(sides[side], args.workload, seed, spec["run_seconds"])
                 pair[side] = run["values"]
                 env = env or run["env"]

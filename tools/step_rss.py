@@ -13,14 +13,17 @@ package from its tree's ``src`` and calls ``bench.train`` for one epoch of
 classes, drawn from ``--seed``. It reads ``ru_maxrss`` and the clock as each
 step starts and once after the last, so it reports the max RSS after every
 step (a release that breaks heap reuse shows as growth on later steps) and
-each step's seconds. Pair i runs the parent first when i is even.
+each step's seconds. A failed run stops the tool.
 
 Results go under ``step_rss`` in ``BENCH_<topic>.json`` at the root, keyed
-by ``L=<length> B=<batch>``: each run's per-step lists, and per side the
-median over runs of the final max RSS and of the median seconds per step
-(step 1 left out: it pays first-call costs), the parent's IQR of both, and
-how many pairs the change won on each. Other keys of the file are kept, so
-it can share a file with ``bench_pairs.py``. Standard library only.
+by ``L=<length> B=<batch>``: each pair's seed and per-step lists, and
+``bench_pairs.summarize`` over each run's final max RSS and median seconds
+per step (step 1 left out: it pays first-call costs). Files are shared with
+and kept as ``bench_pairs.py`` keeps them: a rerun under a key the file has
+appends its pairs and summarises all of them, pair i of a key's list runs
+the parent first when i is even, and a file measured against another parent
+commit is left alone, the call exiting before it runs anything. Standard
+library only.
 """
 
 from __future__ import annotations
@@ -36,7 +39,10 @@ import sys
 import tempfile
 from pathlib import Path
 
-from bench_pairs import ROOT, exit_on_signal, extract, git, iqr, median
+from bench_pairs import ROOT, check_parent, exit_on_signal, extract, git, order
+from bench_pairs import summarize as summarize_pairs
+
+METRICS = [{"name": "max_rss_mb", "better": "lower"}, {"name": "s_per_step", "better": "lower"}]
 
 # One run: train, marking ru_maxrss (KiB on Linux) and the clock at each step.
 CHILD = """
@@ -99,35 +105,34 @@ def run_once(tree: Path, args) -> dict:
 
 
 def summarize(pairs: list[dict]) -> dict:
-    """Per side: medians over runs of the final max RSS and of the median
-    seconds per step after step 1; the parent's IQR; the change's wins."""
+    """``bench_pairs.summarize`` of each run's final max RSS and median seconds
+    per step after step 1. Every kept run passed: a failed one stops the tool."""
     def per_run(run):
         later = run["step_s"][1:] or run["step_s"]
-        return {"max_rss_mb": run["rss_mb"][-1], "s_per_step": statistics.median(later)}
+        return {"max_rss_mb": run["rss_mb"][-1], "s_per_step": statistics.median(later),
+                "correct": True, "failed": 0}
 
-    out = {}
-    for metric in ("max_rss_mb", "s_per_step"):
-        parent = [per_run(p["parent"])[metric] for p in pairs]
-        change = [per_run(p["change"])[metric] for p in pairs]
-        out[metric] = {"parent_median": median(parent), "change_median": median(change),
-                       "parent_iqr": round(iqr(parent), 4),
-                       "change_wins": sum(c < p for p, c in zip(parent, change)),
-                       "pairs": len(pairs)}
-    return out
+    return summarize_pairs(
+        [{side: per_run(p[side]) for side in ("parent", "change")} for p in pairs], METRICS)
 
 
 def main(argv=None, out_dir: Path = ROOT) -> int:
     args = parse_args(argv)
     signal.signal(signal.SIGTERM, exit_on_signal)
     out_path = out_dir / f"BENCH_{args.topic}.json"
+    doc = json.loads(out_path.read_text()) if out_path.is_file() else {}
+    parent = git("rev-parse", args.parent)
+    check_parent(doc, parent, out_path, "step_rss")
+    key = f"L={args.length} B={args.batch}"
+    kept = doc.get("step_rss", {}).get(key, {"pairs": []})["pairs"]
     work = Path(tempfile.mkdtemp(prefix="step_rss-"))
     try:
         sides = {"parent": extract(args.parent, work / "parent"), "change": ROOT}
         pairs = []
         for i in range(args.pairs):
-            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            pair = {"first": order[0]}
-            for side in order:
+            sides_in_order = order(len(kept) + i)
+            pair = {"seed": args.seed, "first": sides_in_order[0]}
+            for side in sides_in_order:
                 pair[side] = run_once(sides[side], args)
             pairs.append(pair)
             print(f"pair {i + 1}/{args.pairs}: " + ", ".join(
@@ -136,15 +141,14 @@ def main(argv=None, out_dir: Path = ROOT) -> int:
     finally:
         shutil.rmtree(work, ignore_errors=True)
 
-    doc = json.loads(out_path.read_text()) if out_path.is_file() else {}
-    doc.setdefault("step_rss", {})[f"L={args.length} B={args.batch}"] = {
+    doc["commits"] = {"parent": parent, "change": f"working tree on {git('rev-parse', 'HEAD')}"}
+    kept = kept + pairs
+    doc.setdefault("step_rss", {})[key] = {
         "command": f"python3 tools/step_rss.py --topic {args.topic} --parent {args.parent} "
                    f"--length {args.length} --batch {args.batch} --steps {args.steps} "
                    f"--pairs {args.pairs} --seed {args.seed}",
-        "commits": {"parent": git("rev-parse", args.parent),
-                    "change": f"working tree on {git('rev-parse', 'HEAD')}"},
-        "pairs": pairs,
-        "summary": summarize(pairs),
+        "pairs": kept,
+        "summary": summarize(kept),
     }
     out_path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     print(f"wrote {out_path}")
