@@ -3,6 +3,8 @@
 A cell is one (dataset, activation, architecture) combination trained with
 the recipe defaults: MLP uses Adadelta (lr 1.0, 1000 epochs), FCN uses Adam
 (lr 0.001, 2000 epochs); batch size 16, per-series z-normalization, one seed.
+The optimizer and its learning rate are the architecture's recipe, not
+settings: a config writes them into its dict and hash but cannot change them.
 Completed and diverged cells are cached in an append-only JSONL store keyed
 by a hash of the full cell configuration; reruns skip them. ``run_cell`` is
 the one way a cell runs: the sweep and the ``train`` command both call it.
@@ -23,7 +25,6 @@ from __future__ import annotations
 import concurrent.futures
 import hashlib
 import json
-import math
 import os
 import time
 from concurrent.futures.process import BrokenProcessPool
@@ -38,8 +39,7 @@ from .errors import ConfigError, DataError, NumericError, ShapeError
 from .models import (
     ModelSpec,
     ModelState,
-    build_fcn,
-    build_mlp,
+    check_architecture,
     forward,
     init_params,
     predict,
@@ -77,6 +77,7 @@ ARCH_DEFAULTS = {
     "mlp": {"optimizer": "adadelta", "learning_rate": 1.0, "epochs": 1000, "norm_enabled": False},
     "fcn": {"optimizer": "adam", "learning_rate": 0.001, "epochs": 2000, "norm_enabled": True},
 }
+_RECIPE = ("optimizer", "learning_rate")  # an architecture's, never a config's own
 
 
 def _known(kind: str, name: str, choices) -> None:
@@ -95,10 +96,14 @@ class DivergenceError(NumericError):
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """One cell's settings. The optimizer and its learning rate are not among
+    them: they are the architecture's recipe in ``ARCH_DEFAULTS``, read by
+    the ``optimizer`` and ``learning_rate`` properties. ``to_dict`` writes
+    both, so they stay in the cell hash, and ``from_dict`` rejects a doc that
+    names others."""
+
     architecture: str
     activation: zoo.ActivationKind
-    optimizer: str
-    learning_rate: float
     epochs: int
     norm_enabled: bool
     batch_size: int = BATCH_SIZE
@@ -106,32 +111,28 @@ class TrainConfig:
     znorm: str = "per_series"
 
     def __post_init__(self):
-        _known("architecture", self.architecture, ARCH_DEFAULTS)
-        _known("optimizer", self.optimizer, OPTIMIZERS)
+        check_architecture(self.architecture, self.norm_enabled)
         _known("znorm", self.znorm, ZNORM_MODES)
-        lr = self.learning_rate
-        if isinstance(lr, bool) or not isinstance(lr, (int, float)) \
-                or not (math.isfinite(lr) and lr > 0):
-            raise ConfigError(f"learning_rate must be a finite number > 0, got {lr!r}")
-        # 1 and 1.0 are one rate, so they must hash to one cell.
-        object.__setattr__(self, "learning_rate", float(lr))
         for name, least in (("epochs", 0), ("batch_size", 1), ("seed", 0)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ConfigError(f"{name} must be an int, got {value!r}")
             if value < least:
                 raise ConfigError(f"{name} must be >= {least}, got {value}")
-        # build_fcn reads only its truth, so "no" or 0 would hash a cell of its own.
-        if not isinstance(self.norm_enabled, bool):
-            raise ConfigError(f"norm_enabled must be a bool, got {self.norm_enabled!r}")
-        if self.architecture == "mlp" and self.norm_enabled:
-            raise ConfigError("norm_enabled must be False for mlp: it has no normalization layer")
+
+    @property
+    def optimizer(self) -> str:
+        return ARCH_DEFAULTS[self.architecture]["optimizer"]
+
+    @property
+    def learning_rate(self) -> float:
+        return ARCH_DEFAULTS[self.architecture]["learning_rate"]
 
     @staticmethod
     def for_architecture(architecture: str, activation, **overrides) -> "TrainConfig":
         """Recipe defaults for one architecture, with explicit overrides."""
         _known("architecture", architecture, ARCH_DEFAULTS)
-        values = dict(ARCH_DEFAULTS[architecture])
+        values = {k: v for k, v in ARCH_DEFAULTS[architecture].items() if k not in _RECIPE}
         values.update({k: v for k, v in overrides.items() if v is not None})
         return TrainConfig(
             architecture=architecture, activation=zoo._as_kind(activation), **values
@@ -140,13 +141,19 @@ class TrainConfig:
     def to_dict(self) -> dict:
         doc = {f.name: getattr(self, f.name) for f in fields(self)}
         doc["activation"] = zoo.kind_to_dict(self.activation)
+        doc.update({name: getattr(self, name) for name in _RECIPE})
         return doc
 
     @staticmethod
     def from_dict(doc: dict) -> "TrainConfig":
         values = {f.name: doc[f.name] for f in fields(TrainConfig)}
         values["activation"] = zoo.kind_from_dict(doc["activation"])
-        return TrainConfig(**values)
+        config = TrainConfig(**values)
+        for name in _RECIPE:
+            if doc[name] != getattr(config, name):
+                raise ConfigError(f"{name} {doc[name]!r} is not the {config.architecture} "
+                                  f"recipe's {getattr(config, name)!r}")
+        return config
 
     def make_optimizer(self):
         return OPTIMIZERS[self.optimizer](lr=self.learning_rate)
@@ -195,11 +202,8 @@ def cell_payload(dataset: str, config: TrainConfig, data_root, checkpoint_dir=No
 
 
 def build_spec(config: TrainConfig, dataset: Dataset) -> ModelSpec:
-    if config.architecture == "mlp":
-        return build_mlp(dataset.length, dataset.n_classes, config.activation)
-    return build_fcn(
-        dataset.length, dataset.n_classes, config.activation, config.norm_enabled
-    )
+    return ModelSpec(config.architecture, config.activation, dataset.length,
+                     dataset.n_classes, config.norm_enabled)
 
 
 def _loss(spec: ModelSpec, logits, labels, tape: Tape | None = None):

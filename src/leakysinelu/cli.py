@@ -243,7 +243,10 @@ def _trace_series(args) -> np.ndarray:
         lo, hi, n = args.grid
         if not (np.isfinite([lo, hi]).all() and n >= 1 and n.is_integer()):
             raise ConfigError(f"--grid needs finite LO, HI and a whole N >= 1, got {lo} {hi} {n}")
-        return np.linspace(lo, hi, int(n))
+        try:
+            return np.linspace(lo, hi, int(n))
+        except (ValueError, MemoryError) as exc:  # N beyond what numpy can allocate
+            raise ConfigError(f"--grid cannot make {n:g} points: {exc}") from exc
     value = args.input
     path = Path(value)
     try:
@@ -284,6 +287,15 @@ def cmd_trace(args) -> int:
         sys.stdout.write(text)
     print(f"dead_fraction={dead_fraction}", file=sys.stderr)
     return EXIT_OK
+
+
+def _alpha(text: str) -> float:
+    """``--alpha``: a level in (0, 1), checked while the arguments are parsed,
+    so a bad one exits 2 before the results file is read."""
+    value = float(text)  # argparse reports a ValueError as a usage error too
+    if not 0 < value < 1:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1), got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -330,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="statistical comparison from a results file")
     p.add_argument("--results", required=True)
     p.add_argument("--arch", required=True, choices=list(ARCH_DEFAULTS))
-    p.add_argument("--alpha", type=float, default=0.05)
+    p.add_argument("--alpha", type=_alpha, default=0.05)
     p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_compare)
 

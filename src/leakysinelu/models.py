@@ -4,6 +4,10 @@ The MLP is two dropout+dense(500) blocks followed by a dropout+dense head;
 the FCN is three same-padded conv blocks (128/256/128 channels, kernels
 8/5/3, optional batch norm) with global average pooling and a dense head.
 Binary problems use a single sigmoid logit, multi-class a softmax head.
+
+A ``ModelSpec`` is its five fields: architecture, activation, input length,
+class count and whether the FCN has batch norm. Its head and its layer list
+are properties worked out from them, and a checkpoint stores only the five.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ __all__ = [
     "ModelState",
     "build_mlp",
     "build_fcn",
+    "check_architecture",
     "init_params",
     "forward",
     "predict",
@@ -34,33 +39,82 @@ __all__ = [
 ]
 
 CHECKPOINT_FORMAT = 1
+ARCHITECTURES = ("mlp", "fcn")
+
+
+def check_architecture(architecture: str, norm_enabled: bool) -> None:
+    """ConfigError unless ``architecture`` is one of ``ARCHITECTURES`` and
+    ``norm_enabled`` a bool that is False for the MLP, which has no
+    normalization layer."""
+    if architecture not in ARCHITECTURES:
+        raise ConfigError(f"unknown architecture {architecture!r}; "
+                          f"choose from {', '.join(ARCHITECTURES)}")
+    # The layer list reads only its truth, so "no" or 0 would be a spec of its own.
+    if not isinstance(norm_enabled, bool):
+        raise ConfigError(f"norm_enabled must be a bool, got {norm_enabled!r}")
+    if architecture == "mlp" and norm_enabled:
+        raise ConfigError("norm_enabled must be False for mlp: it has no normalization layer")
 
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Declarative layer sequence for one architecture/activation pair."""
+    """One architecture/activation pair at one input length and class count:
+    five fields, from which the head and the layer list are worked out."""
 
     architecture: str
     activation: zoo.ActivationKind
     input_length: int
     n_classes: int
     norm_enabled: bool
-    head: str
-    head_units: int
-    layers: tuple[dict[str, Any], ...]
+
+    def __post_init__(self):
+        check_architecture(self.architecture, self.norm_enabled)
+        for name, low in (("input_length", 1), ("n_classes", 2)):
+            value = getattr(self, name)
+            if type(value) is not int or value < low:  # bool is not an int here
+                raise ConfigError(f"{name} must be an int >= {low}, got {value!r}")
+
+    @property
+    def head(self) -> str:
+        """One sigmoid logit for two classes, else a softmax."""
+        return "sigmoid" if self.n_classes == 2 else "softmax"
+
+    @property
+    def head_units(self) -> int:
+        return 1 if self.n_classes == 2 else self.n_classes
+
+    @property
+    def layers(self) -> tuple[dict[str, Any], ...]:
+        """The architecture's layers (see ``build_mlp``/``build_fcn``), then the head."""
+        if self.architecture == "mlp":
+            body = [
+                {"type": "dropout", "p": 0.1}, {"type": "dense", "units": 500},
+                {"type": "activation"},
+                {"type": "dropout", "p": 0.2}, {"type": "dense", "units": 500},
+                {"type": "activation"},
+                {"type": "dropout", "p": 0.3},
+            ]
+        else:
+            body = []
+            for channels, kernel in ((128, 8), (256, 5), (128, 3)):
+                body.append({"type": "conv", "channels": channels, "kernel": kernel})
+                if self.norm_enabled:
+                    body.append({"type": "batch_norm"})
+                body.append({"type": "activation"})
+            body.append({"type": "global_avg_pool"})
+        return (*body, {"type": "dense", "units": self.head_units})
 
     def to_json(self) -> str:
         doc = {f.name: getattr(self, f.name) for f in fields(self)}
         doc["activation"] = zoo.kind_to_dict(self.activation)
-        doc["layers"] = list(self.layers)
         return json.dumps(doc, sort_keys=True)
 
     @staticmethod
     def from_json(text: str) -> "ModelSpec":
+        """Inverse of ``to_json``; keys other than the five fields are ignored."""
         doc = json.loads(text)
         values = {f.name: doc[f.name] for f in fields(ModelSpec)}
         values["activation"] = zoo.kind_from_dict(doc["activation"])
-        values["layers"] = tuple(doc["layers"])
         return ModelSpec(**values)
 
 
@@ -73,53 +127,16 @@ class ModelState:
     seed: int = 0
 
 
-def _spec(
-    architecture: str, activation, input_length: int, n_classes: int, norm_enabled: bool, body
-) -> ModelSpec:
-    """Check the sizes, append the head's dense layer to ``body`` and build the spec."""
-    if input_length < 1:
-        raise ConfigError(f"input_length must be >= 1, got {input_length}")
-    if n_classes < 2:
-        raise ConfigError(f"n_classes must be >= 2, got {n_classes}")
-    head, units = ("sigmoid", 1) if n_classes == 2 else ("softmax", n_classes)
-    return ModelSpec(
-        architecture=architecture,
-        activation=zoo._as_kind(activation),
-        input_length=input_length,
-        n_classes=n_classes,
-        norm_enabled=norm_enabled,
-        head=head,
-        head_units=units,
-        layers=(*body, {"type": "dense", "units": units}),
-    )
-
-
 def build_mlp(input_length: int, n_classes: int, activation) -> ModelSpec:
     """Dropout(.1)+dense(500), dropout(.2)+dense(500), dropout(.3)+head."""
-    body = [
-        {"type": "dropout", "p": 0.1},
-        {"type": "dense", "units": 500},
-        {"type": "activation"},
-        {"type": "dropout", "p": 0.2},
-        {"type": "dense", "units": 500},
-        {"type": "activation"},
-        {"type": "dropout", "p": 0.3},
-    ]
-    return _spec("mlp", activation, input_length, n_classes, False, body)
+    return ModelSpec("mlp", zoo._as_kind(activation), input_length, n_classes, False)
 
 
 def build_fcn(
     input_length: int, n_classes: int, activation, norm_enabled: bool = True
 ) -> ModelSpec:
     """Three conv blocks (128/256/128 channels, kernels 8/5/3) + GAP + head."""
-    body: list[dict[str, Any]] = []
-    for channels, kernel in ((128, 8), (256, 5), (128, 3)):
-        body.append({"type": "conv", "channels": channels, "kernel": kernel})
-        if norm_enabled:
-            body.append({"type": "batch_norm"})
-        body.append({"type": "activation"})
-    body.append({"type": "global_avg_pool"})
-    return _spec("fcn", activation, input_length, n_classes, norm_enabled, body)
+    return ModelSpec("fcn", zoo._as_kind(activation), input_length, n_classes, norm_enabled)
 
 
 def init_params(spec: ModelSpec, seed: int) -> ModelState:
@@ -265,30 +282,23 @@ def save_checkpoint(path, spec: ModelSpec, state: ModelState, opt_state) -> None
         raise
 
 
-def _rebuild(spec: ModelSpec) -> ModelSpec | None:
-    """The spec ``build_mlp``/``build_fcn`` makes from ``spec``'s own fields."""
-    if spec.architecture == "mlp":
-        return build_mlp(spec.input_length, spec.n_classes, spec.activation)
-    if spec.architecture == "fcn":
-        return build_fcn(spec.input_length, spec.n_classes, spec.activation, spec.norm_enabled)
-    return None
-
-
 def load_checkpoint(path):
     """Read back (spec, state, optimizer_state) from save_checkpoint.
 
     DataError, naming the path, for a missing file, one that is not an .npz
     archive, one without readable metadata, another checkpoint format, no
     optimizer state (which save_checkpoint always writes), metadata that
-    lacks a spec field, the seed or an optimizer key or holds one of the
-    wrong type or value (an unknown activation, say), an input length,
-    class count, seed or step count that is not an int in range, a spec
-    that ``build_mlp``/``build_fcn`` would not make from its own fields,
-    optimizer hyper-parameters that are not one optimizer's fields, or an
-    array entry that is missing, extra or of another shape than the
-    param/<name>, buffer/<name> and opt/<name>/<slot> entries that
-    ``init_params(spec, seed)`` and that optimizer's ``SLOTS`` make, or that
-    cannot be read without pickle, or is not finite float64.
+    lacks one of the spec's five fields, the seed or an optimizer key or
+    holds one that ``ModelSpec`` rejects (an unknown activation or
+    architecture, say, or a class count that is not an int >= 2), a seed or
+    step count that is not an int >= 0, optimizer hyper-parameters that are
+    not one optimizer's fields, or an array entry that is missing, extra or
+    of another shape than the param/<name>, buffer/<name> and
+    opt/<name>/<slot> entries that ``init_params(spec, seed)`` and that
+    optimizer's ``SLOTS`` make, or that cannot be read without pickle, or is
+    not finite float64. Any other key of ``meta.spec`` is ignored: files
+    written before the spec became its five fields also hold its ``head``,
+    ``head_units`` and ``layers``, which are never read.
     """
     from .optim import OPTIMIZERS, OptimizerState
 
@@ -316,16 +326,9 @@ def load_checkpoint(path):
             raise DataError(f"{path}: checkpoint metadata has no {exc}") from exc
         except (TypeError, ValueError, ConfigError) as exc:
             raise DataError(f"{path}: malformed checkpoint metadata: {exc}") from exc
-        counts = {"spec.input_length": (spec.input_length, 1),
-                  "spec.n_classes": (spec.n_classes, 2),
-                  "seed": (seed, 0), "optimizer.step_count": (step_count, 0)}
-        for name, (value, low) in counts.items():
-            if type(value) is not int or value < low:  # bool is not an int here
-                raise DataError(f"{path}: checkpoint {name} must be an int >= {low}, "
-                                f"got {value!r}")
-        if spec != _rebuild(spec):
-            raise DataError(f"{path}: checkpoint spec is not the {spec.architecture!r} "
-                            f"spec its own fields make")
+        for name, value in (("seed", seed), ("optimizer.step_count", step_count)):
+            if type(value) is not int or value < 0:  # bool is not an int here
+                raise DataError(f"{path}: checkpoint {name} must be an int >= 0, got {value!r}")
         opt_name = next((name for name, cls in OPTIMIZERS.items() if isinstance(hyper, dict)
                          and hyper.keys() == {f.name for f in fields(cls)}), None)
         if opt_name is None:

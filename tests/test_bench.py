@@ -43,7 +43,7 @@ class TestTrainConfig:
         assert TrainConfig.from_dict(cfg.to_dict()) == cfg
 
     @pytest.mark.parametrize("field, value", [
-        ("architecture", "resnet"), ("optimizer", "sgd"), ("znorm", "minmax"),
+        ("architecture", "resnet"), ("znorm", "minmax"),
     ])
     def test_unknown_recipe_name_rejected(self, field, value):
         doc = TrainConfig.for_architecture("mlp", "relu").to_dict()
@@ -57,15 +57,19 @@ class TestTrainConfig:
             TrainConfig.for_architecture("mlp", "relu", norm_enabled=True)
         assert not TrainConfig.for_architecture("fcn", "relu", norm_enabled=False).norm_enabled
 
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 0.0, -1.0,
-                                       True, "1.0"])
-    def test_learning_rate_not_a_finite_positive_number_rejected(self, value):
-        # A NaN rate would train to a cell that diverges at epoch 0.
-        with pytest.raises(ConfigError, match="learning_rate must be a finite number > 0"):
-            TrainConfig.for_architecture("mlp", "relu", learning_rate=value)
-        doc = TrainConfig.for_architecture("mlp", "relu").to_dict()
-        doc["learning_rate"] = value
-        with pytest.raises(ConfigError, match="learning_rate"):
+    @pytest.mark.parametrize("arch, field, value", [
+        ("mlp", "optimizer", "adam"), ("mlp", "optimizer", "sgd"),
+        ("fcn", "optimizer", "adadelta"), ("mlp", "learning_rate", 0.5),
+        ("mlp", "learning_rate", float("nan")), ("mlp", "learning_rate", "1.0"),
+        ("fcn", "learning_rate", 1.0),
+    ], ids=["mlp-adam", "mlp-sgd", "fcn-adadelta", "mlp-rate-0.5", "mlp-rate-nan",
+            "mlp-rate-text", "fcn-rate-1.0"])
+    def test_doc_with_another_optimizer_or_rate_rejected(self, arch, field, value):
+        # The recipe fixes both, so a payload naming others would record a
+        # rate its cell never trained with.
+        doc = TrainConfig.for_architecture(arch, "relu").to_dict()
+        doc[field] = value
+        with pytest.raises(ConfigError, match=f"{field} .* is not the {arch} recipe's "):
             TrainConfig.from_dict(doc)
 
     @pytest.mark.parametrize("field, value, wanted", [
@@ -79,15 +83,8 @@ class TestTrainConfig:
         with pytest.raises(ConfigError, match=f"{field} must be {wanted}, got "):
             TrainConfig.for_architecture("fcn", "relu", **{field: value})
 
-    def test_int_learning_rate_is_the_same_cell_as_its_float(self):
-        cfg = TrainConfig.for_architecture("mlp", "relu", learning_rate=2)
-        assert type(cfg.learning_rate) is float
-        assert cell_hash("S1", cfg) == cell_hash(
-            "S1", TrainConfig.for_architecture("mlp", "relu", learning_rate=2.0))
-
     def test_direct_construction_by_keyword(self):
-        cfg = TrainConfig(architecture="mlp", activation=zoo.activation("relu"),
-                          optimizer="adadelta", learning_rate=1.0, epochs=10,
+        cfg = TrainConfig(architecture="mlp", activation=zoo.activation("relu"), epochs=10,
                           norm_enabled=False)
         assert cfg == TrainConfig.for_architecture("mlp", "relu", epochs=10)
         assert TrainConfig.for_architecture("fcn", "relu").norm_enabled
@@ -479,6 +476,8 @@ class TestBrokenPool:
 
 class TestRecordFields:
     def test_config_dict_has_every_field(self):
-        # A field missing from to_dict would silently drop out of cell_hash.
+        # A field missing from to_dict would silently drop out of cell_hash;
+        # the recipe's optimizer and rate are written beside the fields.
         cfg = TrainConfig.for_architecture("fcn", "snake", epochs=3)
-        assert set(cfg.to_dict()) == set(TrainConfig.__dataclass_fields__)
+        assert set(cfg.to_dict()) == {*TrainConfig.__dataclass_fields__, "optimizer",
+                                      "learning_rate"}

@@ -84,13 +84,14 @@ def test_summarize_with_no_pair_left_has_no_medians():
 
 def fake_bench(monkeypatch, tmp_path, commits):
     """Point bench_pairs at ``tmp_path`` with ``commits`` (rev -> sha) for git
-    and stand-ins for extract and run_once; returns the runs' (side, seed) list."""
+    and stand-ins for snapshot, extract and run_once; returns the runs' (side,
+    seed) list, each side told apart by the directory it is extracted to."""
     (tmp_path / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     runs = []
 
     def run_once(tree, workload, seed, seconds):
-        side = "change" if tree == tmp_path else "parent"
+        side = tree.name
         runs.append((side, seed))
         values = {m["name"]: float(len(runs)) for m in spec["end_to_end"]}
         values.update(correct=True, failed=0)
@@ -99,6 +100,7 @@ def fake_bench(monkeypatch, tmp_path, commits):
     monkeypatch.setattr(bench_pairs.signal, "signal", lambda signum, handler: None)
     monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
     monkeypatch.setattr(bench_pairs, "git", lambda cmd, rev: commits[rev])
+    monkeypatch.setattr(bench_pairs, "snapshot", lambda index: "c" * 40)
     monkeypatch.setattr(bench_pairs, "extract", lambda rev, dest: dest)
     monkeypatch.setattr(bench_pairs, "run_once", run_once)
     return runs
@@ -127,7 +129,7 @@ def test_rerun_appends_its_pairs_and_summarises_all(monkeypatch, tmp_path):
         (tmp_path / "BENCHMARK.json").read_text())["end_to_end"])
     assert summary["cell_s"]["pairs"] == 5
     assert doc["workloads"]["sweep"] == first["workloads"]["sweep"]
-    assert doc["commits"]["parent"] == "a" * 40
+    assert (doc["commits"]["parent"], doc["commits"]["change_tree"]) == ("a" * 40, "c" * 40)
 
 
 def test_rerun_against_another_parent_exits_naming_the_file(monkeypatch, tmp_path):

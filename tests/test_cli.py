@@ -282,12 +282,21 @@ class TestCompare:
         assert code == 5
         assert "S2 x sine" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("results", ["complete", "incomplete", "missing"])
     @pytest.mark.parametrize("alpha", ["1.5", "0"])
-    def test_bad_alpha_exits_2_without_output(self, tmp_path, alpha):
-        results = self._bench(tmp_path)
-        code = run(["compare", "--results", str(results), "--arch", "mlp",
-                    "--alpha", alpha, "--out", str(tmp_path / "cmp")])
-        assert code == 2
+    def test_bad_alpha_exits_2_without_output(self, tmp_path, capsys, alpha, results):
+        # alpha is checked as the arguments are parsed, before the results file
+        # is read, which would exit 5 for an incomplete file and 3 for a missing one.
+        path = tmp_path / "absent.jsonl"
+        if results != "missing":
+            path = self._bench(tmp_path)
+            if results == "incomplete":
+                path.write_text("".join(path.read_text().splitlines(keepends=True)[1:]))
+        with pytest.raises(SystemExit) as exc:
+            run(["compare", "--results", str(path), "--arch", "mlp",
+                 "--alpha", alpha, "--out", str(tmp_path / "cmp")])
+        assert exc.value.code == 2
+        assert "argument --alpha: must be in (0, 1)" in capsys.readouterr().err
         assert not list((tmp_path / "cmp").glob("compare-*"))
 
     def test_two_configs_for_one_cell_exit_3_without_output(self, tmp_path, capsys):
@@ -369,10 +378,12 @@ class TestTrace:
         (["--grid", "0", "1", "2.7"], 2, "--grid needs finite LO, HI and a whole N >= 1"),
         (["--grid", "nan", "1", "3"], 2, "--grid needs finite LO, HI and a whole N >= 1"),
         (["--grid", "0", "inf", "3"], 2, "--grid needs finite LO, HI and a whole N >= 1"),
+        # numpy refuses this N before it allocates anything
+        (["--grid", "0", "1", "1e20"], 2, "--grid cannot make 1e+20 points"),
         (["--input", "1 nan -inf"], 3, "non-finite value 'nan'"),
         (["--input", "1 2 -inf"], 3, "non-finite value '-inf'"),
     ], ids=["grid-zero", "grid-negative", "grid-fraction", "grid-nan-lo", "grid-inf-hi",
-            "input-nan", "input-inf"])
+            "grid-too-large", "input-nan", "input-inf"])
     def test_bad_input_rejected(self, input_args, code, message, capsys):
         assert run(["trace", "--activation", "relu", *input_args]) == code
         captured = capsys.readouterr()

@@ -46,6 +46,16 @@ class TestBuildMlp:
             build_mlp(24, 1, "relu")
 
 
+class TestModelSpec:
+    @pytest.mark.parametrize("architecture, norm_enabled, message", [
+        ("cnn", False, "unknown architecture 'cnn'; choose from mlp, fcn"),
+        ("mlp", True, "norm_enabled must be False for mlp"),
+    ], ids=["unknown-architecture", "norm-for-mlp"])
+    def test_architecture_it_cannot_build_rejected(self, architecture, norm_enabled, message):
+        with pytest.raises(ConfigError, match=message):
+            ModelSpec(architecture, zoo.activation("relu"), 24, 3, norm_enabled)
+
+
 class TestBuildFcn:
     def test_blocks(self):
         spec = build_fcn(96, 5, "snake")
@@ -139,6 +149,8 @@ class TestSerialization:
             build_fcn(24, 3, "relu", norm_enabled=False),
         ):
             assert ModelSpec.from_json(spec.to_json()) == spec
+            assert set(json.loads(spec.to_json())) == {
+                "architecture", "activation", "input_length", "n_classes", "norm_enabled"}
 
     def test_checkpoint_round_trip(self, tmp_path):
         spec = build_fcn(24, 3, "prelu")
@@ -224,7 +236,7 @@ class TestSerialization:
             load_checkpoint(path)
 
     @pytest.mark.parametrize("where, key", [
-        ((), "seed"), (("spec",), "layers"), (("spec",), "activation"),
+        ((), "seed"), (("spec",), "n_classes"), (("spec",), "activation"),
         (("optimizer",), "hyper"), (("optimizer",), "step_count"),
     ])
     def test_checkpoint_metadata_missing_a_key_is_a_data_error(self, tmp_path, where, key):
@@ -241,10 +253,16 @@ class TestSerialization:
     @pytest.mark.parametrize("edit, message", [
         (lambda meta: meta["spec"]["activation"].update(name="swish"), "unknown activation"),
         (lambda meta: meta["spec"]["activation"].update(params={"alpha": 1.0}), "relu takes no"),
-        (lambda meta: meta["spec"].update(layers=3), "int"),
         (lambda meta: meta.update(optimizer=[1, 2]), "list"),
-    ], ids=["unknown-activation", "unknown-parameter", "layers-not-a-list",
-            "optimizer-not-a-dict"])
+        (lambda meta: meta["spec"].update(architecture="cnn"), "unknown architecture 'cnn'"),
+        (lambda meta: meta["spec"].update(norm_enabled=True), "norm_enabled must be False"),
+        (lambda meta: meta["spec"].update(n_classes="two"), "n_classes must be an int >= 2"),
+        (lambda meta: meta["spec"].update(n_classes=1), "n_classes must be an int >= 2"),
+        (lambda meta: meta["spec"].update(input_length=16.5), "input_length must be an int"),
+        (lambda meta: meta["spec"].update(input_length=True), "input_length must be an int"),
+    ], ids=["unknown-activation", "unknown-parameter", "optimizer-not-a-dict",
+            "unknown-architecture", "norm-for-mlp", "n-classes-text", "n-classes-one",
+            "input-length-float", "input-length-bool"])
     def test_malformed_checkpoint_metadata_is_a_data_error(self, tmp_path, edit, message):
         path = tmp_path / "ckpt.npz"
         self._save_edited(path, edit)
@@ -252,46 +270,54 @@ class TestSerialization:
         with pytest.raises(DataError, match=match):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("edit, name, low", [
-        (lambda meta: meta["spec"].update(n_classes="two"), "spec.n_classes", 2),
-        (lambda meta: meta["spec"].update(n_classes=1), "spec.n_classes", 2),
-        (lambda meta: meta["spec"].update(input_length=16.5), "spec.input_length", 1),
-        (lambda meta: meta["spec"].update(input_length=True), "spec.input_length", 1),
-        (lambda meta: meta.update(seed="abc"), "seed", 0),
-        (lambda meta: meta.update(seed=-1), "seed", 0),
-        (lambda meta: meta["optimizer"].update(step_count="x"), "optimizer.step_count", 0),
-    ], ids=["n-classes-text", "n-classes-one", "input-length-float", "input-length-bool",
-            "seed-text", "seed-negative", "step-count-text"])
-    def test_count_that_is_not_an_int_in_range_is_a_data_error(self, tmp_path, edit, name, low):
+    @pytest.mark.parametrize("edit, name", [
+        (lambda meta: meta.update(seed="abc"), "seed"),
+        (lambda meta: meta.update(seed=-1), "seed"),
+        (lambda meta: meta["optimizer"].update(step_count="x"), "optimizer.step_count"),
+    ], ids=["seed-text", "seed-negative", "step-count-text"])
+    def test_count_that_is_not_an_int_in_range_is_a_data_error(self, tmp_path, edit, name):
         path = tmp_path / "ckpt.npz"
         self._save_edited(path, edit)
-        match = f"ckpt.npz: checkpoint {name} must be an int >= {low}, got "
+        match = f"ckpt.npz: checkpoint {name} must be an int >= 0, got "
         with pytest.raises(DataError, match=match):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("edit", [
-        lambda meta: meta["spec"].update(n_classes=3),
-        lambda meta: meta["spec"].update(head="softmax"),
-        lambda meta: meta["spec"].update(head_units=2),
-        lambda meta: meta["spec"]["layers"].pop(0),
-        lambda meta: meta["spec"].update(norm_enabled=True),
-        lambda meta: meta["spec"].update(architecture="cnn"),
-    ], ids=["n-classes", "head", "head-units", "layers", "norm", "architecture"])
-    def test_spec_its_fields_do_not_make_is_a_data_error(self, tmp_path, edit):
-        path = tmp_path / "ckpt.npz"
-        self._save_edited(path, edit)
-        with pytest.raises(DataError, match="ckpt.npz: checkpoint spec is not the "):
-            load_checkpoint(path)
-
-    def test_entry_shaped_for_another_input_length_is_a_data_error(self, tmp_path):
+    @pytest.mark.parametrize("field, value, entry, shapes", [
+        ("input_length", 16, "l1.W", (r"\(8, 500\)", r"\(16, 500\)")),
+        ("n_classes", 3, "l7.W", (r"\(500, 1\)", r"\(500, 3\)")),
+    ], ids=["input-length", "n-classes"])
+    def test_entry_shaped_for_another_spec_is_a_data_error(self, tmp_path, field, value, entry,
+                                                           shapes):
         # The MLP's layer list does not depend on L, so only the shapes can
-        # tell that this spec no longer fits the arrays saved at L=8.
+        # tell that this spec no longer fits the arrays saved at L=8; nor can
+        # anything but the head's shape tell a changed class count.
         path = tmp_path / "ckpt.npz"
-        self._save_edited(path, lambda meta: meta["spec"].update(input_length=16))
-        match = (r"ckpt.npz: checkpoint entry 'param/l1.W' has shape \(8, 500\), "
-                 r"the spec makes \(16, 500\)")
+        self._save_edited(path, lambda meta: meta["spec"].update({field: value}))
+        match = (f"ckpt.npz: checkpoint entry 'param/{entry}' has shape {shapes[0]}, "
+                 f"the spec makes {shapes[1]}")
         with pytest.raises(DataError, match=match):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("stored", [
+        {"head": "sigmoid", "head_units": 1},
+        {"head": "softmax", "head_units": 5, "layers": [{"type": "conv"}]},
+    ], ids=["as-written", "contradicting"])
+    def test_spec_keys_of_earlier_files_are_ignored(self, tmp_path, stored):
+        # Files written before the spec became its five fields also hold its
+        # head, head width and layer list; they load as before, unread.
+        spec = build_mlp(8, 2, "relu")
+        stored = {"layers": [dict(layer) for layer in spec.layers], **stored}
+        path = tmp_path / "ckpt.npz"
+        self._save_edited(path, lambda meta: meta["spec"].update(stored))
+        state = init_params(spec, 0)
+        opt_state = Adam().init_state(state.params)
+        spec2, state2, opt2 = load_checkpoint(path)
+        assert spec2 == spec and state2.seed == 0 and not state2.buffers
+        for name in state.params:
+            assert np.array_equal(state.params[name], state2.params[name])
+            for slot in opt_state.slots[name]:
+                assert np.array_equal(opt_state.slots[name][slot], opt2.slots[name][slot])
+        assert (opt2.hyper, opt2.step_count) == (opt_state.hyper, 0)
 
     @staticmethod
     def _save_with_arrays(path, opt, edit):

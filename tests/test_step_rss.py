@@ -25,6 +25,9 @@ def test_summarize_takes_the_final_rss_and_leaves_out_step_one():
     assert got["max_rss_mb"] == {"parent_median": 390.0, "change_median": 325.0,
                                  "parent_iqr": 30.0, "change_wins": 1, "pairs": 2,
                                  "change_losses": 1}
+    assert got["step1_max_rss_mb"] == {"parent_median": 305.0, "change_median": 295.0,
+                                       "parent_iqr": 15.0, "change_wins": 1, "pairs": 2,
+                                       "change_losses": 1}
     assert got["s_per_step"] == {"parent_median": 2.0, "change_median": 1.5,
                                  "parent_iqr": 0.0, "change_wins": 1, "pairs": 2,
                                  "change_losses": 0}
@@ -33,17 +36,19 @@ def test_summarize_takes_the_final_rss_and_leaves_out_step_one():
 
 
 def fake_runs(monkeypatch, tmp_path, commits):
-    """Stand-ins for git (``commits``: rev -> sha), extract and run_once, with
-    the temporary directory under ``tmp_path``; returns the runs' sides."""
+    """Stand-ins for git (``commits``: rev -> sha), snapshot, extract and
+    run_once, with the temporary directory under ``tmp_path``; returns the
+    runs' sides, told apart by the directory each side is extracted to."""
     runs = []
 
     def run_once(tree, args):
-        runs.append("change" if tree == step_rss.ROOT else "parent")
+        runs.append(tree.name)
         return run([100.0, 100.0 + len(runs)], [1.0, 0.5])
 
     monkeypatch.setattr(step_rss.tempfile, "tempdir", str(tmp_path))
     monkeypatch.setattr(step_rss.signal, "signal", lambda signum, handler: None)
     monkeypatch.setattr(step_rss, "git", lambda cmd, rev: commits[rev])
+    monkeypatch.setattr(step_rss, "snapshot", lambda index: "c" * 40)
     monkeypatch.setattr(step_rss, "extract", lambda rev, dest: dest)
     monkeypatch.setattr(step_rss, "run_once", run_once)
     return runs
@@ -68,7 +73,7 @@ def test_rerun_appends_its_pairs_and_summarises_all(monkeypatch, tmp_path):
     summary = doc["step_rss"]["L=16 B=4"]["summary"]
     assert summary == step_rss.summarize(pairs) and summary["max_rss_mb"]["pairs"] == 3
     assert doc["step_rss"]["L=32 B=4"] == first["step_rss"]["L=32 B=4"]
-    assert doc["commits"]["parent"] == "a" * 40
+    assert (doc["commits"]["parent"], doc["commits"]["change_tree"]) == ("a" * 40, "c" * 40)
     assert [p.name for p in tmp_path.iterdir()] == ["BENCH_t.json"]
 
 

@@ -6,8 +6,12 @@ Usage (from the repository root):
         --pairs 10 --seeds 1-5 --digest-seeds 1-10
 
 The parent is extracted with ``git archive <rev> | tar -x`` into a temporary
-directory (git state is not touched); the change is the working tree. Each
-run lasts BENCHMARK.json's ``run_seconds``. The i-th pair of a call runs
+directory. The change is the working tree, untracked files included and
+ignored ones left out, written as a git tree through a temporary index (the
+index and HEAD are not touched) and extracted the same way beside it; its
+tree id is recorded under ``commits``. So neither side runs from the
+checkout, whose directory alone moved a run's max RSS. Each run lasts
+BENCHMARK.json's ``run_seconds``. The i-th pair of a call runs
 seed ``seeds[i % len(seeds)]`` on both sides; the parent runs first in the
 even-numbered pairs of the workload's list, so appended pairs keep alternating.
 ``--digest-seeds`` adds one ``--seconds 1`` run per side and seed, to compare
@@ -65,9 +69,17 @@ def parse_args(argv, spec: dict):
     return p.parse_args(argv)
 
 
-def git(*args: str) -> str:
-    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
+def git(*args: str, env: dict | None = None) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, env=env, check=True, capture_output=True,
                           text=True).stdout.strip()
+
+
+def snapshot(index: Path) -> str:
+    """The id of a git tree of the working tree, untracked files included,
+    made through the temporary index file ``index``."""
+    env = {**os.environ, "GIT_INDEX_FILE": str(index)}
+    git("add", "-A", env=env)
+    return git("write-tree", env=env)
 
 
 def extract(rev: str, dest: Path) -> Path:
@@ -166,7 +178,9 @@ def main(argv=None) -> int:
     kept = doc.get("workloads", {}).get(args.workload, {"pairs": []})["pairs"]
     work = Path(tempfile.mkdtemp(prefix="bench_pairs-"))
     try:
-        sides = {"parent": extract(args.parent, work / "parent"), "change": ROOT}
+        tree = snapshot(work / "index")
+        sides = {"parent": extract(args.parent, work / "parent"),
+                 "change": extract(tree, work / "change")}
         pairs, env = [], None
         for i in range(args.pairs):
             seed = args.seeds[i % len(args.seeds)]
@@ -193,10 +207,10 @@ def main(argv=None) -> int:
     doc["topic"] = args.topic
     doc["command"] = "python3 perfbench/run.py --workload <w> --seed <s> --seconds " \
                      f"{spec['run_seconds']:g} --trace 0"
-    doc["method"] = ("alternating parent/change pairs, each side run from its own tree; "
-                     "pair i of a workload's list runs the parent first when i is even. "
+    doc["method"] = ("alternating parent/change pairs, each side run from its own extracted "
+                     "tree; pair i of a workload's list runs the parent first when i is even. "
                      "Digests: one run per side with --seconds 1.")
-    doc["commits"] = {"parent": parent,
+    doc["commits"] = {"parent": parent, "change_tree": tree,
                       "change": f"working tree on {git('rev-parse', 'HEAD')}"}
     if env is not None:
         doc["machine"] = {k: v for k, v in env.items() if k not in ("commit", "src_sha256")}

@@ -5,25 +5,27 @@ Usage (from the repository root):
     python3 tools/step_rss.py --topic tapeslots --parent HEAD --length 1024 \
         --batch 16 --steps 6 --pairs 3
 
-The parent is extracted as ``tools/bench_pairs.py`` extracts it; the change
-is the working tree. Each run is a fresh interpreter that imports the
-package from its tree's ``src`` and calls ``bench.train`` for one epoch of
-``--steps`` FCN (LeakySineLU, Adam) steps of ``--batch`` series of length
-``--length``, on synthetic UCR-shaped data: z-normalised noisy sines of 5
-classes, drawn from ``--seed``. It reads ``ru_maxrss`` and the clock as each
-step starts and once after the last, so it reports the max RSS after every
-step (a release that breaks heap reuse shows as growth on later steps) and
-each step's seconds. A failed run stops the tool.
+Both sides are extracted as ``tools/bench_pairs.py`` extracts them: the
+parent commit, and a git tree of the working tree (untracked files
+included), never the checkout itself, from which the same sources read
+15 MB more max RSS after step 2 at L=1024. Each run is a fresh interpreter
+that imports the package from its tree's ``src`` and calls ``bench.train``
+for one epoch of ``--steps`` FCN (LeakySineLU, Adam) steps of ``--batch``
+series of length ``--length``, on synthetic UCR-shaped data: z-normalised
+noisy sines of 5 classes, drawn from ``--seed``. It reads ``ru_maxrss`` and
+the clock as each step starts and once after the last, so it reports the
+max RSS after every step (a release that breaks heap reuse shows as growth
+on later steps) and each step's seconds. A failed run stops the tool.
 
 Results go under ``step_rss`` in ``BENCH_<topic>.json`` at the root, keyed
 by ``L=<length> B=<batch>``: each pair's seed and per-step lists, and
-``bench_pairs.summarize`` over each run's final max RSS and median seconds
-per step (step 1 left out: it pays first-call costs). Files are shared with
-and kept as ``bench_pairs.py`` keeps them: a rerun under a key the file has
-appends its pairs and summarises all of them, pair i of a key's list runs
-the parent first when i is even, and a file measured against another parent
-commit is left alone, the call exiting before it runs anything. Standard
-library only.
+``bench_pairs.summarize`` over each run's max RSS after step 1 and after
+the last step and its median seconds per step (step 1 left out: it pays
+first-call costs). Files are shared with and kept as ``bench_pairs.py``
+keeps them: a rerun under a key the file has appends its pairs and
+summarises all of them, pair i of a key's list runs the parent first when i
+is even, and a file measured against another parent commit is left alone,
+the call exiting before it runs anything. Standard library only.
 """
 
 from __future__ import annotations
@@ -39,10 +41,11 @@ import sys
 import tempfile
 from pathlib import Path
 
-from bench_pairs import ROOT, check_parent, exit_on_signal, extract, git, order
+from bench_pairs import ROOT, check_parent, exit_on_signal, extract, git, order, snapshot
 from bench_pairs import summarize as summarize_pairs
 
-METRICS = [{"name": "max_rss_mb", "better": "lower"}, {"name": "s_per_step", "better": "lower"}]
+METRICS = [{"name": name, "better": "lower"}
+           for name in ("max_rss_mb", "step1_max_rss_mb", "s_per_step")]
 
 # One run: train, marking ru_maxrss (KiB on Linux) and the clock at each step.
 CHILD = """
@@ -105,12 +108,13 @@ def run_once(tree: Path, args) -> dict:
 
 
 def summarize(pairs: list[dict]) -> dict:
-    """``bench_pairs.summarize`` of each run's final max RSS and median seconds
-    per step after step 1. Every kept run passed: a failed one stops the tool."""
+    """``bench_pairs.summarize`` of each run's final and step-1 max RSS and
+    median seconds per step after step 1. Every kept run passed: a failed one
+    stops the tool."""
     def per_run(run):
         later = run["step_s"][1:] or run["step_s"]
-        return {"max_rss_mb": run["rss_mb"][-1], "s_per_step": statistics.median(later),
-                "correct": True, "failed": 0}
+        return {"max_rss_mb": run["rss_mb"][-1], "step1_max_rss_mb": run["rss_mb"][0],
+                "s_per_step": statistics.median(later), "correct": True, "failed": 0}
 
     return summarize_pairs(
         [{side: per_run(p[side]) for side in ("parent", "change")} for p in pairs], METRICS)
@@ -127,7 +131,9 @@ def main(argv=None, out_dir: Path = ROOT) -> int:
     kept = doc.get("step_rss", {}).get(key, {"pairs": []})["pairs"]
     work = Path(tempfile.mkdtemp(prefix="step_rss-"))
     try:
-        sides = {"parent": extract(args.parent, work / "parent"), "change": ROOT}
+        tree = snapshot(work / "index")
+        sides = {"parent": extract(args.parent, work / "parent"),
+                 "change": extract(tree, work / "change")}
         pairs = []
         for i in range(args.pairs):
             sides_in_order = order(len(kept) + i)
@@ -136,12 +142,14 @@ def main(argv=None, out_dir: Path = ROOT) -> int:
                 pair[side] = run_once(sides[side], args)
             pairs.append(pair)
             print(f"pair {i + 1}/{args.pairs}: " + ", ".join(
-                f"{s} max RSS {pair[s]['rss_mb'][-1]:.1f} MB" for s in ("parent", "change")),
+                f"{s} max RSS {pair[s]['rss_mb'][0]:.1f} -> {pair[s]['rss_mb'][-1]:.1f} MB "
+                "(step 1 -> last)" for s in ("parent", "change")),
                 flush=True)
     finally:
         shutil.rmtree(work, ignore_errors=True)
 
-    doc["commits"] = {"parent": parent, "change": f"working tree on {git('rev-parse', 'HEAD')}"}
+    doc["commits"] = {"parent": parent, "change_tree": tree,
+                      "change": f"working tree on {git('rev-parse', 'HEAD')}"}
     kept = kept + pairs
     doc.setdefault("step_rss", {})[key] = {
         "command": f"python3 tools/step_rss.py --topic {args.topic} --parent {args.parent} "
