@@ -4,14 +4,20 @@ Ten activations are supported, addressable by canonical lowercase name:
 sigmoid, tanh, sine, relu, elu, prelu, gelu, silu, snake, leakysinelu.
 All math is evaluated in 64-bit floats. Functions accept scalars or numpy
 arrays and broadcast elementwise; parameter values may be arrays that
-broadcast against the input (a trainable per-channel prelu alpha or snake a).
+broadcast against the input (a model's per-channel prelu alpha, say).
 
 An activation is one record of this module's registry, keyed by its name:
 one formula that gives its value and derivative together, its property row
 (limits at +-inf, monotonicity, semi-periodic period), its parameter
-defaults, checks and trainable set with the partial w.r.t. that parameter,
-and its kink slopes. Adding an activation means adding one record, and
-nothing outside this file.
+values and trainable set with the partial w.r.t. that parameter, and its
+kink slopes. Adding an activation means adding one record, and nothing
+outside this file.
+
+A kind is its name. The catalog fixes each kind's parameter values and
+trainable set: PReLU's alpha starts at 0.25 and trains (He et al. 2015),
+ELU's alpha is 1, and Snake's a is 1 and fixed (Ziyin et al. 2020), the one
+setting at which the sweep compares them. A model's per-channel values go
+through the array functions' ``params`` argument instead.
 
 scipy is imported on first use, by GELU only, so a cell without GELU skips its import.
 
@@ -32,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Callable, Mapping
 
 import numpy as np
@@ -62,16 +69,28 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 @dataclass(frozen=True)
 class ActivationKind:
-    """One activation variant plus its scalar parameters.
+    """One activation of the catalog: a kind is its name.
 
-    ``learnable`` names the subset of ``params`` that a model may train
-    (per-site parameter tensors are created by the model builder; the
-    values here act as initial/default values).
+    ``params`` (read-only) and ``learnable`` are the catalog's parameter
+    values and the subset of them that a model trains; the model builder
+    makes one tensor per channel for each, starting at that value.
     """
 
     name: str
-    params: Mapping[str, float] = field(default_factory=dict)
-    learnable: frozenset[str] = frozenset()
+
+    def __post_init__(self):
+        if self.name not in _REGISTRY:
+            raise ConfigError(
+                f"unknown activation {self.name!r}; choose from {', '.join(_REGISTRY)}"
+            )
+
+    @property
+    def params(self) -> Mapping[str, float]:
+        return MappingProxyType(_REGISTRY[self.name].defaults)
+
+    @property
+    def learnable(self) -> frozenset[str]:
+        return _REGISTRY[self.name].learnable
 
 
 @dataclass(frozen=True)
@@ -168,13 +187,14 @@ class _Entry:
     ``formula`` takes ``(x, params)`` with x a float64 scalar or array and
     gives ``(value, derivative)`` in one call, computing their shared term
     (a sigmoid, a tanh, a normal CDF, one tan) once; the derivative is the
-    canonical sub-gradient at a kink. ``param_derivative`` takes the same
-    arguments and gives the partial w.r.t. the one parameter, set only where
-    that parameter may be trained. ``limits`` are the limits at -inf and +inf
-    (None when there is none) and ``period`` maps the params to the
+    canonical sub-gradient at a kink. ``defaults`` and ``learnable`` fix the
+    kind's parameter values and the ones a model trains: a kind is its name,
+    and no caller sets either. ``param_derivative`` takes the same arguments
+    as ``formula`` and gives the partial w.r.t. the one parameter, for
+    ``autodiff.activate(..., param=)``. ``limits`` are the limits at -inf and
+    +inf (None when there is none) and ``period`` maps the params to the
     semi-periodic period. ``kink_slopes`` maps the params to the one-sided
-    slopes (left, right) at the kink x = 0, and ``check`` maps them to an
-    error message, or None when they are valid.
+    slopes (left, right) at the kink x = 0.
     """
 
     formula: Callable
@@ -186,7 +206,6 @@ class _Entry:
     learnable: frozenset[str] = frozenset()
     param_derivative: Callable | None = None
     kink_slopes: Callable | None = None
-    check: Callable | None = None
 
 
 _INF = float("inf")
@@ -217,7 +236,6 @@ _REGISTRY: dict[str, _Entry] = {
             np.where(pos, 1.0, p["alpha"] * np.exp(neg)),
         ),
         limits=(-1.0, _INF), monotonic=True, defaults={"alpha": 1.0},
-        check=lambda p: f"elu alpha must be > 0, got {p['alpha']}" if p["alpha"] <= 0 else None,
     ),
     "prelu": _Entry(
         formula=lambda x, p: (np.where(keep := x >= 0, x, p["alpha"] * x),
@@ -241,7 +259,6 @@ _REGISTRY: dict[str, _Entry] = {
         defaults={"a": 1.0},
         param_derivative=lambda x, p: (x * (sd := _sin_pair(p["a"] * x))[1] / p["a"]
                                        - sd[0] / np.square(p["a"])),
-        check=lambda p: "snake a must be nonzero" if p["a"] == 0 else None,
     ),
     "leakysinelu": _Entry(
         formula=lambda x, p: _leakysinelu_pair(x),
@@ -254,29 +271,9 @@ _REGISTRY: dict[str, _Entry] = {
 ACTIVATION_NAMES = tuple(_REGISTRY)
 
 
-def activation(name: str, *, learnable=None, **params: float) -> ActivationKind:
-    """Build a validated ActivationKind from its canonical name."""
-    entry = _REGISTRY.get(name)
-    if entry is None:
-        raise ConfigError(
-            f"unknown activation {name!r}; choose from {', '.join(_REGISTRY)}"
-        )
-    unknown = set(params) - set(entry.defaults)
-    if unknown:
-        raise ConfigError(f"{name} takes no parameter(s) {sorted(unknown)}")
-    merged = {k: float(params.get(k, v)) for k, v in entry.defaults.items()}
-    for key, value in merged.items():
-        if not math.isfinite(value):
-            raise ConfigError(f"{name} parameter {key} must be finite, got {value}")
-    error = entry.check(merged) if entry.check else None
-    if error:
-        raise ConfigError(error)
-    flags = entry.learnable if learnable is None else frozenset(learnable)
-    if not flags <= set(merged):
-        raise ConfigError(f"learnable flags {sorted(flags)} not all parameters of {name}")
-    if flags and entry.param_derivative is None:
-        raise ConfigError(f"{name} has no trainable parameter; drop {sorted(flags)}")
-    return ActivationKind(name=name, params=merged, learnable=flags)
+def activation(name: str) -> ActivationKind:
+    """The catalog's kind of that canonical name; ConfigError for any other name."""
+    return ActivationKind(name)
 
 
 def _as_kind(kind) -> ActivationKind:
@@ -295,8 +292,16 @@ def kind_to_dict(kind: ActivationKind) -> dict:
 
 
 def kind_from_dict(doc: dict) -> ActivationKind:
-    """Inverse of ``kind_to_dict``; re-validates through ``activation``."""
-    return activation(doc["name"], learnable=frozenset(doc["learnable"]), **doc["params"])
+    """Inverse of ``kind_to_dict``. A doc whose parameter values or trainable
+    set differ from the catalog's is a ConfigError: no cell trains them."""
+    kind = activation(doc["name"])
+    if doc["params"] != kind.params:
+        raise ConfigError(f"{kind.name} takes no parameter values but the catalog's "
+                          f"{dict(kind.params)}, got {doc['params']!r}")
+    if frozenset(doc["learnable"]) != kind.learnable:
+        raise ConfigError(f"{kind.name} trains no parameters but the catalog's "
+                          f"{sorted(kind.learnable)}, got {doc['learnable']!r}")
+    return kind
 
 
 def array_value_and_derivative(kind, x, params=None) -> tuple[np.ndarray, np.ndarray]:

@@ -321,7 +321,7 @@ def activate(
 
     ``param`` carries a trainable tensor for the kind's one parameter, one
     value per channel: along axis 0 of a (C,B,L) conv activation, along
-    axis 1 of a (B,n) dense one. When omitted the fixed values in
+    axis 1 of a (B,n) dense one. When omitted the catalog's values in
     ``kind.params`` are used.
 
     Each activation is one formula that gives the value and the derivative

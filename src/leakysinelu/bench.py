@@ -277,11 +277,7 @@ def train(
             tape.backward(loss)
         except NumericError as exc:
             raise DivergenceError(epoch, str(exc)) from exc
-        grads = {
-            name: (t.grad if t.grad is not None else np.zeros_like(t.data))
-            for name, t in tensors.items()
-        }
-        opt.step(opt_state, state.params, grads)
+        opt.step(opt_state, state.params, {name: t.grad for name, t in tensors.items()})
         return float(loss.data)
 
     for epoch in range(config.epochs):

@@ -87,7 +87,7 @@ def _parse_datasets(value: str) -> list[str]:
         if not path.is_file():
             raise DataError(f"dataset list file not found: {path}")
         try:
-            text = path.read_text(encoding="utf-8")
+            text = path.read_text(encoding="utf-8-sig")
         except UnicodeDecodeError as exc:
             raise DataError(f"{path}: dataset list is not UTF-8 text: {exc}") from exc
         names = _unique(line.strip() for line in text.splitlines())
@@ -255,7 +255,7 @@ def _trace_series(args) -> np.ndarray:
         is_file = False
     try:
         if is_file:
-            tokens = path.read_text().split()
+            tokens = path.read_text(encoding="utf-8-sig").split()
         else:
             tokens = value.replace("\t", " ").split()
         series = np.array([float(t) for t in tokens], dtype=np.float64)

@@ -92,7 +92,8 @@ def load_ucr_split(
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             try:
-                line = raw.decode("utf-8").strip()
+                # utf-8-sig drops a byte-order mark that some editors write first.
+                line = raw.decode("utf-8-sig" if lineno == 1 else "utf-8").strip()
             except UnicodeDecodeError as exc:
                 raise DataError(f"{path}:{lineno}: not UTF-8 text: {exc}") from exc
             if not line:

@@ -236,8 +236,6 @@ def forward(
             for name in spec.activation.learnable:
                 param = pt[f"l{i}.{name}"]
             cur = ad.activate(cur, spec.activation, tape, param=param)
-        else:
-            raise ConfigError(f"unknown layer type {kind!r}")
     return cur
 
 

@@ -1,9 +1,21 @@
-"""Shared helpers: synthetic datasets in the UCR TSV layout."""
+"""Shared helpers: synthetic datasets in the UCR TSV layout, activation docs
+the catalog rejects, and a finite-difference check of a model's gradients."""
 
 import numpy as np
 import pytest
 
 from leakysinelu.data import Dataset, znormalize
+
+
+# Activation docs that differ from the catalog, which fixes each kind's
+# parameter values and trainable set.
+UNLIKE_THE_CATALOG = [
+    {"name": "snake", "params": {"a": 2.0}, "learnable": []},
+    {"name": "prelu", "params": {"alpha": 0.25}, "learnable": []},
+    {"name": "elu", "params": {"alpha": 1.0}, "learnable": ["alpha"]},
+    {"name": "relu", "params": {"alpha": 0.1}, "learnable": []},
+]
+UNLIKE_IDS = ["snake-a-2", "prelu-not-trained", "elu-trained", "relu-with-alpha"]
 
 
 def write_tsv(path, labels, series):

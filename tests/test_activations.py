@@ -150,10 +150,6 @@ class TestCatalog:
         assert zoo.catalog("silu").lower_limit == 0.0
         assert zoo.catalog("prelu").lower_limit == -math.inf
 
-    def test_snake_period_scales_with_a(self):
-        rec = zoo.catalog(zoo.activation("snake", a=2.0))
-        assert rec.semi_periodic_period == pytest.approx(math.pi / 2)
-
 
 class TestConfig:
     def test_unknown_name(self):
@@ -165,17 +161,55 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unknown activation 'swish'; choose from sigmoid, "):
             zoo.activation("swish")
 
+    # A kind is its name: the values below can only arrive in a doc (a
+    # results record, a worker payload, a checkpoint), and kind_from_dict
+    # rejects any value the catalog does not fix.
     def test_elu_alpha_must_be_positive(self):
-        with pytest.raises(ConfigError):
-            zoo.activation("elu", alpha=-1.0)
+        with pytest.raises(ConfigError, match="elu takes no parameter values"):
+            zoo.kind_from_dict({"name": "elu", "params": {"alpha": -1.0}, "learnable": []})
 
     def test_snake_a_nonzero(self):
-        with pytest.raises(ConfigError):
-            zoo.activation("snake", a=0.0)
+        with pytest.raises(ConfigError, match="snake takes no parameter values"):
+            zoo.kind_from_dict({"name": "snake", "params": {"a": 0.0}, "learnable": []})
 
     def test_unknown_parameter(self):
-        with pytest.raises(ConfigError):
-            zoo.activation("relu", alpha=0.1)
+        with pytest.raises(ConfigError, match="relu takes no parameter values"):
+            zoo.kind_from_dict({"name": "relu", "params": {"alpha": 0.1}, "learnable": []})
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"name": "snake", "params": {"a": 2.0}, "learnable": []}, "snake takes no parameter"),
+        ({"name": "snake", "params": {}, "learnable": []}, "snake takes no parameter"),
+        ({"name": "prelu", "params": {"alpha": 0.25}, "learnable": []}, "prelu trains no"),
+        ({"name": "snake", "params": {"a": 1.0}, "learnable": ["a"]}, "snake trains no"),
+    ], ids=["snake-a-2", "snake-a-missing", "prelu-not-trained", "snake-trained"])
+    def test_doc_unlike_the_catalog_rejected(self, doc, message):
+        with pytest.raises(ConfigError, match=message):
+            zoo.kind_from_dict(doc)
+
+    def test_kind_is_its_name(self):
+        a, b = zoo.activation("prelu"), zoo.activation("prelu")
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != zoo.activation("relu")
+        with pytest.raises(TypeError):
+            a.params["alpha"] = 0.5  # the catalog's value, read-only
+        assert zoo.activation("prelu").params == {"alpha": 0.25}
+
+    def test_kind_to_dict_is_unchanged(self):
+        # These dicts feed every cell hash, record and checkpoint.
+        assert [zoo.kind_to_dict(kind) for kind in ALL_KINDS] == [
+            {"name": "sigmoid", "params": {}, "learnable": []},
+            {"name": "tanh", "params": {}, "learnable": []},
+            {"name": "sine", "params": {}, "learnable": []},
+            {"name": "relu", "params": {}, "learnable": []},
+            {"name": "elu", "params": {"alpha": 1.0}, "learnable": []},
+            {"name": "prelu", "params": {"alpha": 0.25}, "learnable": ["alpha"]},
+            {"name": "gelu", "params": {}, "learnable": []},
+            {"name": "silu", "params": {}, "learnable": []},
+            {"name": "snake", "params": {"a": 1.0}, "learnable": []},
+            {"name": "leakysinelu", "params": {}, "learnable": []},
+        ]
+        for kind in ALL_KINDS:
+            assert zoo.kind_from_dict(zoo.kind_to_dict(kind)) == kind
 
     def test_nonparametric_kinds_have_empty_params(self):
         for name in ("sigmoid", "tanh", "sine", "relu", "gelu", "silu", "leakysinelu"):
@@ -190,22 +224,22 @@ class TestTrainableParameters:
     def test_learnable_flag_needs_a_parameter_derivative(self):
         # elu has an alpha, but no trainable path: the flag would hash a
         # distinct cell that never trains it.
-        with pytest.raises(ConfigError, match="no trainable parameter"):
-            zoo.activation("elu", learnable={"alpha"})
+        with pytest.raises(ConfigError, match="elu trains no parameters"):
+            zoo.kind_from_dict({"name": "elu", "params": {"alpha": 1.0}, "learnable": ["alpha"]})
 
     def test_params_override_broadcasts_against_x(self):
         x = np.linspace(-3.0, 3.0, 7)
         a = np.array([[0.5], [2.0]])
-        kind = zoo.activation("snake", learnable={"a"})
+        kind = zoo.activation("snake")
         for fn in (zoo.array_value, zoo.array_derivative):
             rows = fn(kind, x, {"a": a})
             assert rows.shape == (2, 7)
             for row, value in zip(rows, a[:, 0]):
-                assert np.array_equal(row, fn(zoo.activation("snake", a=value), x))
+                assert np.array_equal(row, fn(kind, x, {"a": value}))
 
     @pytest.mark.parametrize("name, key, value", [("prelu", "alpha", 0.3), ("snake", "a", 1.7)])
     def test_param_derivative_matches_finite_differences(self, name, key, value):
-        kind = zoo.activation(name, learnable={key})
+        kind = zoo.activation(name)
         x = np.linspace(-4.0, 4.0, 41)
         x = x[np.abs(x) > 1e-3]
         h = 1e-6

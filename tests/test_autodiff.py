@@ -319,7 +319,7 @@ class TestActivate:
         x = ad.Tensor(rng.normal(size=(3, 2, 5)))
         a = ad.Tensor(np.full(3, 1.0))
         target = rng.normal(size=(3, 2, 5))
-        kind = zoo.activation("snake", learnable=("a",))
+        kind = zoo.activation("snake")
 
         def build(tape):
             return ad.mse(ad.activate(x, kind, tape, param=a), target, tape)
@@ -521,8 +521,7 @@ class TestWhatTheTapeKeeps:
         finally:
             gc.enable()
 
-    @pytest.mark.parametrize("kind", [zoo.activation("prelu"),
-                                      zoo.activation("snake", learnable={"a"})])
+    @pytest.mark.parametrize("kind", [zoo.activation("prelu")])
     def test_a_trainable_kind_keeps_its_input(self, monkeypatch, kind):
         gc.disable()
         try:
@@ -561,7 +560,7 @@ class TestActivatePath:
         rng = np.random.default_rng(14)
         x = ad.Tensor(rng.normal(size=(4, 3)))
         param = ad.Tensor(np.full(3, 0.5))
-        kind = zoo.activation(name, learnable={key})
+        kind = zoo.activation(name)
         tape = ad.Tape()
         out = ad.activate(x, kind, tape, param=param)
         tape.backward(ad.mse(out, np.zeros((4, 3)), tape))

@@ -7,6 +7,7 @@ import pytest
 
 from leakysinelu import activations as zoo
 from leakysinelu import bench, models
+from leakysinelu.autodiff import Tape
 from leakysinelu.bench import (
     BATCH_SIZE,
     DivergenceError,
@@ -25,7 +26,7 @@ from leakysinelu.data import Dataset
 from leakysinelu.errors import ConfigError, DataError
 from leakysinelu.models import init_params, predict
 
-from conftest import make_ucr_root, toy_sine_vs_flat
+from conftest import UNLIKE_IDS, UNLIKE_THE_CATALOG, make_ucr_root, toy_sine_vs_flat
 
 
 class TestTrainConfig:
@@ -70,6 +71,13 @@ class TestTrainConfig:
         doc = TrainConfig.for_architecture(arch, "relu").to_dict()
         doc[field] = value
         with pytest.raises(ConfigError, match=f"{field} .* is not the {arch} recipe's "):
+            TrainConfig.from_dict(doc)
+
+    @pytest.mark.parametrize("activation", UNLIKE_THE_CATALOG, ids=UNLIKE_IDS)
+    def test_doc_with_another_activation_setting_rejected(self, activation):
+        doc = TrainConfig.for_architecture("fcn", "relu").to_dict()
+        doc["activation"] = activation
+        with pytest.raises(ConfigError, match=f"{activation['name']} (takes|trains) no "):
             TrainConfig.from_dict(doc)
 
     @pytest.mark.parametrize("field, value, wanted", [
@@ -126,6 +134,26 @@ class TestTrain:
         init = init_params(spec, cfg.seed)
         for name in init.params:
             assert np.array_equal(state.params[name], init.params[name])
+
+    @pytest.mark.parametrize("n_classes", [2, 3])
+    @pytest.mark.parametrize("activation", ["prelu", "leakysinelu", "snake", "relu"])
+    @pytest.mark.parametrize("build", [
+        models.build_mlp, models.build_fcn,
+        lambda length, n, kind: models.build_fcn(length, n, kind, norm_enabled=False),
+    ], ids=["mlp", "fcn-bn", "fcn-no-bn"])
+    def test_every_parameter_gets_a_gradient_of_its_shape(self, build, activation, n_classes):
+        # train hands t.grad to the optimizer as it is: every op adds into
+        # its parameters' gradients on every step.
+        spec = build(16, n_classes, activation)
+        state = init_params(spec, 0)
+        tensors = models.wrap_params(state)
+        tape = Tape()
+        logits = models.forward(spec, state, np.random.default_rng(2).normal(size=(4, 16)),
+                                tape=tape, training=True, rng=np.random.default_rng(0),
+                                param_tensors=tensors)
+        tape.backward(bench._loss(spec, logits, np.arange(4) % n_classes, tape))
+        for name, t in tensors.items():
+            assert t.grad is not None and t.grad.shape == t.data.shape, name
 
     def test_deterministic_given_seed(self):
         ds = toy_sine_vs_flat(n_per_class=6, length=16)

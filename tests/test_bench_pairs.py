@@ -82,6 +82,65 @@ def test_summarize_with_no_pair_left_has_no_medians():
     assert got["failed"]["change"] == {"runs": 1, "operations": 4}
 
 
+BOUNDED = [{"name": "step_ms", "better": "lower", "bound": 0.25},
+           {"name": "sweep_cells_per_h", "better": "higher", "bound": 0.25}]
+
+
+def steps(parent, change):
+    """Passing pairs of these step_ms values, sweep_cells_per_h held at 1."""
+    return [pair((p, 1.0, True, 0), (c, 1.0, True, 0)) for p, c in zip(parent, change)]
+
+
+@pytest.mark.parametrize("parent, change, want", [
+    # medians 10 -> 12.6: worse by more than a quarter of the parent's
+    ([10.0] * 10, [12.6] * 10, "worse"),
+    # 10 pairs, 9 wins, medians 10 -> 9 apart by more than the parent's IQR 0.5
+    ([9.5, 9.75, 10.0, 10.0, 10.0, 10.0, 10.0, 10.0, 10.25, 10.5],
+     [9.0] * 9 + [11.0], "gain"),
+    # the same runs, but only 9 pairs: no gain, and the spread is narrow
+    ([9.5, 9.75, 10.0, 10.0, 10.0, 10.0, 10.0, 10.25, 10.5],
+     [9.0] * 8 + [11.0], "within bound"),
+    # 8 of 10 wins is not nine in ten
+    ([9.5, 9.75, 10.0, 10.0, 10.0, 10.0, 10.0, 10.0, 10.25, 10.5],
+     [9.0] * 8 + [11.0] * 2, "within bound"),
+    # the parent's IQR (5) exceeds a quarter of its median (10)
+    ([5.0, 5.0, 10.0, 15.0, 15.0], [9.0, 9.0, 11.0, 11.0, 10.0], "unresolved"),
+    # ... unless every change run beats every parent run
+    ([20.0, 20.0, 40.0, 60.0, 60.0], [9.0, 9.0, 11.0, 11.0, 10.0], "within bound"),
+    ([10.0, 10.5], [10.2, 10.4], "within bound"),
+])
+def test_verdict_per_bounded_metric(parent, change, want):
+    assert bench_pairs.summarize(steps(parent, change), BOUNDED)["step_ms"]["verdict"] == want
+
+
+@pytest.mark.parametrize("change, want", [(74.0, "worse"), (110.0, "gain"),
+                                          (90.0, "within bound")])
+def test_verdict_of_a_rate_reads_higher_as_better(change, want):
+    pairs = [pair((1.0, 100.0, True, 0), (1.0, change, True, 0))] * 10
+    assert bench_pairs.summarize(pairs, BOUNDED)["sweep_cells_per_h"]["verdict"] == want
+
+
+def test_metric_without_a_bound_has_no_verdict_and_no_pair_is_unresolved():
+    assert "verdict" not in bench_pairs.summarize(steps([1.0], [1.0]), METRICS)["step_ms"]
+    failed = [pair((10.0, 100.0, True, 0), (0.0, 0.0, False, 4))]
+    assert bench_pairs.summarize(failed, BOUNDED)["step_ms"]["verdict"] == "unresolved"
+
+
+@pytest.mark.parametrize("topic, verdicts", [
+    ("derived", {("fcn_cell", "setup_s"): "unresolved", ("sweep", "setup_s"): "unresolved"}),
+    ("copyfree", {("fcn_cell", "peak_rss_mb"): "gain"}),
+])
+def test_verdicts_of_committed_pairs(topic, verdicts):
+    # Every other metric of these files reads within bound.
+    doc = json.loads((ROOT / f"BENCH_{topic}.json").read_text())
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    for workload, entry in doc["workloads"].items():
+        summary = bench_pairs.summarize(entry["pairs"], metrics)
+        for m in metrics:
+            want = verdicts.get((workload, m["name"]), "within bound")
+            assert summary[m["name"]]["verdict"] == want, (workload, m["name"])
+
+
 def fake_bench(monkeypatch, tmp_path, commits):
     """Point bench_pairs at ``tmp_path`` with ``commits`` (rev -> sha) for git
     and stand-ins for snapshot, extract and run_once; returns the runs' (side,

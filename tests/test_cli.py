@@ -176,6 +176,17 @@ class TestBench:
         ])
         assert code == 0
 
+    def test_dataset_list_with_a_byte_order_mark(self, tmp_path, capsys):
+        root = make_ucr_root(tmp_path / "ucr", ["S1", "S2"], n_train=8, n_test=8, length=12)
+        listing = tmp_path / "sets.txt"
+        listing.write_text("S1\nS2\n", encoding="utf-8-sig")
+        base = ["bench", "--arch", "mlp", "--activations", "relu", "--data-root", str(root),
+                "--epochs", "1", "--out", str(tmp_path / "out")]
+        assert run(base + ["--datasets", "S1,S2"]) == 0
+        assert "0 cached, 2 trained" in capsys.readouterr().out
+        assert run(base + ["--datasets", f"@{listing}"]) == 0
+        assert "2 cached, 0 trained" in capsys.readouterr().out
+
     @pytest.mark.parametrize("activations, datasets", [
         ("relu,relu", "S1"), ("relu", "S1,S1"), ("relu, relu,", "@list"),
     ])
@@ -422,6 +433,15 @@ class TestTrace:
         code = run(["trace", "--activation", "sigmoid", "--input", str(p)])
         assert code == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == 4
+
+    def test_input_file_with_a_byte_order_mark(self, tmp_path, capsys):
+        outputs = []
+        for encoding in ("utf-8", "utf-8-sig"):
+            p = tmp_path / f"{encoding}.tsv"
+            p.write_text("-1.0\t0.5\n", encoding=encoding)
+            assert run(["trace", "--activation", "leakysinelu", "--input", str(p)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] and len(outputs[0].splitlines()) == 3
 
     def test_garbage_file_exits_3(self, tmp_path):
         p = tmp_path / "bad.tsv"

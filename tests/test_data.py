@@ -40,6 +40,20 @@ class TestLoad:
         assert ds.label_map == {"-1": 0, "1": 1, "2": 2}
         assert ds.n_classes == 3
 
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        text = "1\t0.5\t-0.5\n2\t1.5\t2.5\n"
+        plain, marked = tmp_path / "plain.tsv", tmp_path / "marked.tsv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        want, got = load_ucr_split(plain), load_ucr_split(marked)
+        assert got.series.tolist() == want.series.tolist()
+        assert (got.labels.tolist(), got.label_map) == (want.labels.tolist(), want.label_map)
+        # Only the file's first character is a byte-order mark.
+        marked.write_text(text + "\ufeff1\t0.0\t0.0\n", encoding="utf-8-sig")
+        with pytest.raises(DataError, match=":3: non-numeric field at column 1"):
+            load_ucr_split(marked)
+
     def test_non_numeric_field_reported(self, tmp_path):
         p = tmp_path / "d.tsv"
         p.write_text("1\t0.5\tabc\n")

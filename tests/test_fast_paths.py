@@ -160,7 +160,7 @@ def test_leakysinelu_equals_the_earlier_formulas(x):
 @pytest.mark.parametrize("name", zoo.ACTIVATION_NAMES)
 def test_activate_backward_equals_derivative_times_gradient(name):
     rng = np.random.default_rng(1)
-    kind = zoo.activation(name, learnable=())
+    kind = zoo.activation(name)
     x = ad.Tensor(rng.normal(size=(3, 4, 5)))
     g = rng.normal(size=(3, 4, 5))
     tape = ad.Tape()
@@ -327,7 +327,7 @@ def check_formula(name, x, params):
     value, deriv = zoo._REGISTRY[name].formula(x, params)
     assert same_bits(value, REF[name][0](x, params))
     assert same_bits(deriv, REF[name][1](x, params))
-    kind = zoo.activation(name, learnable=())
+    kind = zoo.activation(name)
     for got in (zoo.array_value_and_derivative(kind, x, params),
                 (zoo.array_value(kind, x, params), zoo.array_derivative(kind, x, params))):
         assert same_bits(got[0], value) and same_bits(got[1], deriv)

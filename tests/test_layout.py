@@ -125,7 +125,6 @@ def step(spec, state, x, labels):
 
 
 CASES = [zoo.activation(name) for name in zoo.ACTIVATION_NAMES]
-CASES.append(zoo.activation("snake", learnable=("a",)))
 
 
 @pytest.mark.parametrize("norm_enabled", [True, False], ids=["bn", "no-bn"])

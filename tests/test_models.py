@@ -20,6 +20,8 @@ from leakysinelu.models import (
 )
 from leakysinelu.optim import Adadelta, Adam
 
+from conftest import UNLIKE_IDS, UNLIKE_THE_CATALOG
+
 
 class TestBuildMlp:
     def test_binary_head_and_parameter_count(self):
@@ -54,6 +56,11 @@ class TestModelSpec:
     def test_architecture_it_cannot_build_rejected(self, architecture, norm_enabled, message):
         with pytest.raises(ConfigError, match=message):
             ModelSpec(architecture, zoo.activation("relu"), 24, 3, norm_enabled)
+
+    def test_equal_specs_are_one_key(self):
+        a, b = build_fcn(16, 3, "prelu"), build_fcn(16, 3, zoo.activation("prelu"))
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != build_fcn(16, 3, "snake")
 
 
 class TestBuildFcn:
@@ -267,6 +274,15 @@ class TestSerialization:
         path = tmp_path / "ckpt.npz"
         self._save_edited(path, edit)
         match = f"ckpt.npz: malformed checkpoint metadata: .*{message}"
+        with pytest.raises(DataError, match=match):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("activation", UNLIKE_THE_CATALOG, ids=UNLIKE_IDS)
+    def test_activation_unlike_the_catalog_is_a_data_error(self, tmp_path, activation):
+        path = tmp_path / "ckpt.npz"
+        self._save_edited(path, lambda meta: meta["spec"].update(activation=activation))
+        match = (f"ckpt.npz: malformed checkpoint metadata: "
+                 f"{activation['name']} (takes|trains) no ")
         with pytest.raises(DataError, match=match):
             load_checkpoint(path)
 

@@ -18,7 +18,9 @@ even-numbered pairs of the workload's list, so appended pairs keep alternating.
 the determinism digests. Results go to ``BENCH_<topic>.json`` at the root:
 the per-pair metric values, each side's median, the parent's interquartile
 range, how many pairs the change won and lost (by BENCHMARK.json's
-``better``), all over the pairs whose runs both passed their output checks,
+``better``) and, for a metric with a ``bound``, its verdict (worse, gain,
+unresolved or within bound; see ``verdict``), all over the pairs whose runs
+both passed their output checks,
 how many pairs that left out, each side's failed runs and failed operations,
 the digests and the machine stamp (the report's env, the C library and its
 malloc environment variables). ``--workload`` is one of BENCHMARK.json's
@@ -122,11 +124,38 @@ def iqr(values: list[float]) -> float:
     return q3 - q1
 
 
+def verdict(parent: list[float], change: list[float], wins: int, bound: float,
+            lower: bool) -> str:
+    """One metric's reading, by the first rule that holds:
+
+    - ``worse``: the change's median is worse than the parent's by more than
+      ``bound`` times the parent's median;
+    - ``gain``: at least 10 pairs, the change won at least nine in ten, and
+      the medians differ in the better direction by more than the parent's IQR;
+    - ``unresolved``: the parent's IQR exceeds ``bound`` times its median and
+      not every change run beats every parent run (or no pair is left);
+    - ``within bound``: otherwise.
+    """
+    if not parent:
+        return "unresolved"
+    p_med, c_med, spread = statistics.median(parent), statistics.median(change), iqr(parent)
+    better_by = p_med - c_med if lower else c_med - p_med
+    if -better_by > bound * abs(p_med):
+        return "worse"
+    if len(parent) >= 10 and 10 * wins >= 9 * len(parent) and better_by > spread:
+        return "gain"
+    all_better = max(change) < min(parent) if lower else min(change) > max(parent)
+    if spread > bound * abs(p_med) and not all_better:
+        return "unresolved"
+    return "within bound"
+
+
 def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
     """Per metric: medians, the parent's IQR, wins and losses over the pairs
     whose runs both passed their output checks (a run that failed every unit
-    reads 0.0 for its timings); medians are None when no pair is left. Failed
-    runs and operations are counted over all pairs."""
+    reads 0.0 for its timings), and, for a metric with a ``bound``, its
+    ``verdict``; medians are None when no pair is left. Failed runs and
+    operations are counted over all pairs."""
     good = [p for p in pairs if p["parent"]["correct"] and p["change"]["correct"]]
     out = {}
     for m in metrics:
@@ -138,6 +167,8 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
         out[name] = {"pairs": len(good), "parent_median": median(parent),
                      "change_median": median(change), "parent_iqr": round(iqr(parent), 4),
                      "change_wins": wins, "change_losses": losses}
+        if "bound" in m:
+            out[name]["verdict"] = verdict(parent, change, wins, m["bound"], lower)
     out["excluded_pairs"] = len(pairs) - len(good)
     out["failed"] = {side: {"runs": sum(not p[side]["correct"] for p in pairs),
                             "operations": sum(p[side]["failed"] for p in pairs)}
