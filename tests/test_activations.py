@@ -150,6 +150,31 @@ class TestCatalog:
         assert zoo.catalog("silu").lower_limit == 0.0
         assert zoo.catalog("prelu").lower_limit == -math.inf
 
+    def test_every_record_is_pinned(self):
+        # name: (lower, upper, monotonic, period, deviation), kinks, subdifferential at 0
+        inf, sine_note = math.inf, (
+            "commonly tabulated as bounded in [0, 1]; sin(x) has no limit at +-inf "
+            "and its range is [-1, 1], so no limit is stored")
+        table = {
+            "sigmoid": ((0.0, 1.0, True, None, None), (), (0.25, 0.25)),
+            "tanh": ((-1.0, 1.0, True, None, None), (), (1.0, 1.0)),
+            "sine": ((None, None, False, 2 * math.pi, sine_note), (), (1.0, 1.0)),
+            "relu": ((0.0, inf, True, None, None), (0.0,), (0.0, 1.0)),
+            "elu": ((-1.0, inf, True, None, None), (), (1.0, 1.0)),
+            "prelu": ((-inf, inf, True, None, None), (0.0,), (0.25, 1.0)),
+            "gelu": ((0.0, inf, False, None, None), (), (0.5, 0.5)),
+            "silu": ((0.0, inf, False, None, None), (), (0.5, 0.5)),
+            "snake": ((-inf, inf, True, math.pi, None), (), (1.0, 1.0)),
+            "leakysinelu": ((-inf, inf, True, math.pi, None), (0.0,), (0.5, 1.0)),
+        }
+        assert tuple(table) == zoo.ACTIVATION_NAMES
+        for name, (row, kinks, slopes) in table.items():
+            rec = zoo.catalog(name)
+            assert (rec.lower_limit, rec.upper_limit, rec.monotonic,
+                    rec.semi_periodic_period, rec.deviation) == row, name
+            assert zoo.kink_points(name) == kinks, name
+            assert zoo.subdifferential(name, 0.0) == zoo.Subdifferential(*slopes), name
+
 
 class TestConfig:
     def test_unknown_name(self):
