@@ -3,27 +3,27 @@
 Ten activations are supported, addressable by canonical lowercase name:
 sigmoid, tanh, sine, relu, elu, prelu, gelu, silu, snake, leakysinelu.
 All math is evaluated in 64-bit floats. Functions accept scalars or numpy
-arrays and broadcast elementwise; parameter values may be arrays that
-broadcast against the input (a model's per-channel prelu alpha, say).
+arrays and broadcast elementwise.
 
 An activation is one record of this module's registry, keyed by its name:
 one formula that gives its value and derivative together, its property row
 (limits at +-inf, monotonicity, semi-periodic period), its parameter
-values and trainable set with the partial w.r.t. that parameter, and its
-kink slopes. Adding an activation means adding one record, and nothing
-outside this file.
+values and trainable set, and its kink slopes. Adding an activation means
+adding one record, and nothing outside this file.
 
 A kind is its name. The catalog fixes each kind's parameter values and
 trainable set: PReLU's alpha starts at 0.25 and trains (He et al. 2015),
 ELU's alpha is 1, and Snake's a is 1 and fixed (Ziyin et al. 2020), the one
-setting at which the sweep compares them. A model's per-channel values go
-through the array functions' ``params`` argument instead.
+setting at which the sweep compares them; ELU's and Snake's formulas build
+theirs in. PReLU's alpha is the one parameter a formula reads: a model's
+per-channel alpha goes through the array functions' ``params`` argument, an
+array that broadcasts against the input.
 
 scipy is imported on first use, by GELU only, so a cell without GELU skips its import.
 
 A formula computes the term its value and derivative share once: a sigmoid
 (sigmoid, silu), a tanh, a normal CDF (gelu), or, for Snake and LeakySineLU
-(Snake at a = 1, halved for x <= 0), one float64 tan per element, through
+(Snake's pair, halved for x <= 0), one float64 tan per element, through
 sin^2 y = T^2 / (1 + T^2) and sin 2y = 2T / (1 + T^2) with T = tan(y). Only
 sine takes a sin; see the note below. ``array_value_and_derivative`` is that
 call; ``array_value`` and ``array_derivative`` are its two halves, so each
@@ -140,44 +140,36 @@ def _ndtr(x):
     return ndtr(x)
 
 
-# Snake and LeakySineLU (halved Snake at a = 1) are written in T = tan(y):
-#   sin^2 y = T^2 / (1 + T^2),   sin 2y = 2T / (1 + T^2).
+# Snake and LeakySineLU (halved Snake) are written in T = tan(x):
+#   sin^2 x = T^2 / (1 + T^2),   sin 2x = 2T / (1 + T^2).
 # numpy 2.4 vectorises float64 tan with AVX-512 (SVML), 2.5 to 2.7 ns per
 # element on a 2-vCPU x86-64, but sends float64 sin to scalar libm (15 to 23 ns);
 # without that tan, a tan costs about what a sin does (21 to 27 ns). Against the
 # sin formulas values stay within 9.4e-16 relative and derivatives within 4.4e-16
 # absolute on both paths (tests/test_leakysinelu_accuracy.py holds them to
 # 2e-15). The pair fills two new buffers (out= keeps a 0-d input 0-d).
-def _sin_pair(y):
-    """(sin^2 y, sin 2y) from one tan; both divide by the same 1 + T^2."""
-    t = np.tan(y, out=np.empty_like(y))
+def _snake_pair(x):
+    """Snake's (value, derivative) at a = 1, x + sin^2 x and 1 + sin 2x, from one
+    tan: sin^2 x and sin 2x divide by the same 1 + T^2."""
+    t = np.tan(x, out=np.empty_like(x))
     s = np.square(t, out=np.empty_like(t))
     d = s + 1.0
     np.divide(s, d, out=s)
     t *= 2.0
-    return s, np.divide(t, d, out=t)
-
-
-def _snake_pair(x, a):
-    """Snake's (value, derivative): x + sin^2(ax)/a, 1 + sin 2ax."""
-    s, d = _sin_pair(a * x)
-    s /= a
+    np.divide(t, d, out=t)
     s += x
-    d += 1.0
-    return s, d
+    t += 1.0
+    return s, t
 
 
 def _leakysinelu_pair(x):
-    s, d = _sin_pair(x)
-    return _leaky(s, x, x > 0), _leaky(d, 1.0, x >= 0)  # slope 1 at the kink
-
-
-def _leaky(v, plus, keep):
-    """v + plus in place, halved where ``keep`` is False by one multiply with 0.5
-    (exactly 1.0 elsewhere): a masked loop mispredicts per element of mixed sign."""
-    v += plus
-    v *= 0.5 + 0.5 * keep
-    return v
+    """Snake's pair halved for x <= 0 in place, by one multiply with 0.5 (exactly
+    1.0 elsewhere): a masked loop mispredicts per element of mixed sign. The
+    derivative keeps slope 1 at the kink."""
+    s, d = _snake_pair(x)
+    s *= 0.5 + 0.5 * (x > 0)
+    d *= 0.5 + 0.5 * (x >= 0)
+    return s, d
 
 
 @dataclass(frozen=True)
@@ -189,23 +181,19 @@ class _Entry:
     (a sigmoid, a tanh, a normal CDF, one tan) once; the derivative is the
     canonical sub-gradient at a kink. ``defaults`` and ``learnable`` fix the
     kind's parameter values and the ones a model trains: a kind is its name,
-    and no caller sets either. ``param_derivative`` takes the same arguments
-    as ``formula`` and gives the partial w.r.t. the one parameter, for
-    ``autodiff.activate(..., param=)``. ``limits`` are the limits at -inf and
-    +inf (None when there is none) and ``period`` maps the params to the
-    semi-periodic period. ``kink_slopes`` maps the params to the one-sided
-    slopes (left, right) at the kink x = 0.
+    and no caller sets either. ``limits`` are the limits at -inf and
+    +inf (None when there is none), ``period`` is the semi-periodic period
+    and ``kink_slopes`` the one-sided slopes (left, right) at the kink x = 0.
     """
 
     formula: Callable
     limits: tuple[float | None, float | None]
     monotonic: bool
-    period: Callable | None = None
+    period: float | None = None
     deviation: str | None = None
     defaults: Mapping[str, float] = field(default_factory=dict)
     learnable: frozenset[str] = frozenset()
-    param_derivative: Callable | None = None
-    kink_slopes: Callable | None = None
+    kink_slopes: tuple[float, float] | None = None
 
 
 _INF = float("inf")
@@ -222,18 +210,18 @@ _REGISTRY: dict[str, _Entry] = {
     ),
     "sine": _Entry(
         formula=lambda x, p: (np.sin(x), np.cos(x)),
-        limits=(None, None), monotonic=False, period=lambda p: 2.0 * math.pi,
+        limits=(None, None), monotonic=False, period=2.0 * math.pi,
         deviation=("commonly tabulated as bounded in [0, 1]; sin(x) has no limit at +-inf "
                    "and its range is [-1, 1], so no limit is stored"),
     ),
     "relu": _Entry(
         formula=lambda x, p: (np.maximum(0.0, x), np.where(x > 0, 1.0, 0.0)),
-        limits=(0.0, _INF), monotonic=True, kink_slopes=lambda p: (0.0, 1.0),
+        limits=(0.0, _INF), monotonic=True, kink_slopes=(0.0, 1.0),
     ),
     "elu": _Entry(
         formula=lambda x, p: (
-            np.where(pos := x > 0, x, p["alpha"] * np.expm1(neg := np.minimum(x, 0.0))),
-            np.where(pos, 1.0, p["alpha"] * np.exp(neg)),
+            np.where(pos := x > 0, x, np.expm1(neg := np.minimum(x, 0.0))),
+            np.where(pos, 1.0, np.exp(neg)),
         ),
         limits=(-1.0, _INF), monotonic=True, defaults={"alpha": 1.0},
     ),
@@ -242,8 +230,7 @@ _REGISTRY: dict[str, _Entry] = {
                               np.where(keep, 1.0, p["alpha"])),
         limits=(-_INF, _INF), monotonic=True,
         defaults={"alpha": 0.25}, learnable=frozenset({"alpha"}),
-        param_derivative=lambda x, p: np.where(x < 0, x, 0.0),
-        kink_slopes=lambda p: (p["alpha"], 1.0),
+        kink_slopes=(0.25, 1.0),
     ),
     "gelu": _Entry(
         formula=lambda x, p: (x * (c := _ndtr(x)), c + x * _phi(x)),
@@ -254,17 +241,14 @@ _REGISTRY: dict[str, _Entry] = {
         limits=(0.0, _INF), monotonic=False,
     ),
     "snake": _Entry(
-        formula=lambda x, p: _snake_pair(x, p["a"]),
-        limits=(-_INF, _INF), monotonic=True, period=lambda p: math.pi / abs(p["a"]),
-        defaults={"a": 1.0},
-        param_derivative=lambda x, p: (x * (sd := _sin_pair(p["a"] * x))[1] / p["a"]
-                                       - sd[0] / np.square(p["a"])),
+        formula=lambda x, p: _snake_pair(x),
+        limits=(-_INF, _INF), monotonic=True, period=math.pi, defaults={"a": 1.0},
     ),
     "leakysinelu": _Entry(
         formula=lambda x, p: _leakysinelu_pair(x),
-        limits=(-_INF, _INF), monotonic=True, period=lambda p: math.pi,
+        limits=(-_INF, _INF), monotonic=True, period=math.pi,
         # One-sided limits of sin(2x)+1 and its halved branch.
-        kink_slopes=lambda p: (0.5, 1.0),
+        kink_slopes=(0.5, 1.0),
     ),
 }
 
@@ -304,17 +288,27 @@ def kind_from_dict(doc: dict) -> ActivationKind:
     return kind
 
 
+def _params(kind: ActivationKind, params):
+    """``params``, or the kind's own when None; ConfigError unless its keys are
+    exactly the kind's trainable set: a formula reads no other."""
+    if params is None:
+        return kind.params
+    if params.keys() != kind.learnable:
+        raise ConfigError(f"{kind.name}'s params must name its trainable set "
+                          f"{sorted(kind.learnable)}, got {sorted(params)}")
+    return params
+
+
 def array_value_and_derivative(kind, x, params=None) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized ``(value, derivative)`` from the kind's one formula; no domain
     checks (engine-internal path). The derivative is the canonical sub-gradient
     at a kink.
 
-    ``params`` replaces ``kind.params``; its values may be arrays that
-    broadcast against ``x``.
+    ``params`` replaces the trainable values of ``kind.params`` (PReLU's alpha);
+    its values may be arrays that broadcast against ``x``.
     """
     kind = _as_kind(kind)
-    return _REGISTRY[kind.name].formula(np.asarray(x, dtype=np.float64),
-                                        kind.params if params is None else params)
+    return _REGISTRY[kind.name].formula(np.asarray(x, dtype=np.float64), _params(kind, params))
 
 
 def array_value(kind, x, params=None) -> np.ndarray:
@@ -328,12 +322,14 @@ def array_derivative(kind, x, params=None) -> np.ndarray:
 
 
 def param_derivative(kind, x, params) -> np.ndarray:
-    """Elementwise partial of the output w.r.t. the kind's one parameter."""
+    """Elementwise partial of the output w.r.t. the kind's trainable parameter,
+    for ``autodiff.activate(..., param=)``: PReLU's alpha is the only one."""
     kind = _as_kind(kind)
-    partial = _REGISTRY[kind.name].param_derivative
-    if partial is None:
+    _params(kind, params)
+    if kind.name != "prelu":
         raise ConfigError(f"{kind.name} has no trainable parameter")
-    return partial(np.asarray(x, dtype=np.float64), params)
+    x = np.asarray(x, dtype=np.float64)
+    return np.where(x < 0, x, 0.0)
 
 
 def _finite_input(x: float) -> float:
@@ -365,7 +361,7 @@ def subdifferential(kind, x: float) -> Subdifferential:
     """
     kind = _as_kind(kind)
     if _finite_input(x) in kink_points(kind):
-        slopes = _REGISTRY[kind.name].kink_slopes(kind.params)
+        slopes = _REGISTRY[kind.name].kink_slopes
         return Subdifferential(min(slopes), max(slopes))
     d = derivative(kind, x)
     return Subdifferential(d, d)
@@ -380,7 +376,7 @@ def catalog(kind) -> PropertyRecord:
         lower_limit=entry.limits[0],
         upper_limit=entry.limits[1],
         monotonic=entry.monotonic,
-        semi_periodic_period=entry.period(kind.params) if entry.period else None,
+        semi_periodic_period=entry.period,
         deviation=entry.deviation,
     )
 

@@ -319,10 +319,10 @@ def activate(
 ) -> Tensor:
     """Apply an activation elementwise.
 
-    ``param`` carries a trainable tensor for the kind's one parameter, one
-    value per channel: along axis 0 of a (C,B,L) conv activation, along
-    axis 1 of a (B,n) dense one. When omitted the catalog's values in
-    ``kind.params`` are used.
+    ``param`` carries a trainable tensor for the kind's trainable parameter
+    (PReLU's alpha, the only one), one value per channel: along axis 0 of a
+    (C,B,L) conv activation, along axis 1 of a (B,n) dense one. When omitted
+    the kind trains nothing, and its formula uses the catalog's values.
 
     Each activation is one formula that gives the value and the derivative
     together (``activations.array_value_and_derivative``). With no
@@ -343,7 +343,7 @@ def activate(
 
         return _emit(tape, kind.name, out_data, bwd)
 
-    (name,) = kind.params
+    (name,) = kind.learnable
     if xd.ndim == 3:
         shape, other_axes = (-1, 1, 1), (1, 2)
     else:

@@ -6,10 +6,16 @@ rejected, and so are missing (NaN) or infinite labels and values. Labels
 are re-encoded to 0..C-1 in ascending numeric order of the original
 values, and train/test splits of one dataset share the encoding. The
 dataset root is the ``--data-root`` flag value, else ``$UCR_DATA_ROOT``.
+
+``load_ucr_split`` reads any finite value back as written. A dataset that a
+cell trains on comes through ``load_dataset_pair``, which also rejects a
+series whose float64 mean or standard deviation overflows: ``znormalize``
+would turn it into zeros or NaN.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -89,31 +95,23 @@ def load_ucr_split(
         raise DataError(f"dataset file not found: {path}")
     rows: list[np.ndarray] = []
     raw_labels: list[str] = []
-    with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            try:
-                # utf-8-sig drops a byte-order mark that some editors write first.
-                line = raw.decode("utf-8-sig" if lineno == 1 else "utf-8").strip()
-            except UnicodeDecodeError as exc:
-                raise DataError(f"{path}:{lineno}: not UTF-8 text: {exc}") from exc
-            if not line:
-                continue
-            fields = line.split("\t") if "\t" in line else line.split()
-            if len(fields) < 2:
-                raise DataError(f"{path}:{lineno}: need a label and at least one value")
-            try:
-                numbers = np.array([float(v) for v in fields], dtype=np.float64)
-            except ValueError as exc:
-                bad = next(
-                    (c + 1 for c, v in enumerate(fields) if not _is_number(v)), None
-                )
-                raise DataError(f"{path}:{lineno}: non-numeric field at column {bad}") from exc
-            finite = np.isfinite(numbers)
-            if not finite.all():
-                col = int(np.argmin(finite)) + 1
-                raise DataError(f"{path}:{lineno}:{col}: non-finite value {fields[col - 1]!r}")
-            raw_labels.append(fields[0])
-            rows.append(numbers[1:])
+    for lineno, line in _lines(path):
+        fields = line.split("\t") if "\t" in line else line.split()
+        if len(fields) < 2:
+            raise DataError(f"{path}:{lineno}: need a label and at least one value")
+        try:
+            numbers = np.array([float(v) for v in fields], dtype=np.float64)
+        except ValueError as exc:
+            bad = next(
+                (c + 1 for c, v in enumerate(fields) if not _is_number(v)), None
+            )
+            raise DataError(f"{path}:{lineno}: non-numeric field at column {bad}") from exc
+        finite = np.isfinite(numbers)
+        if not finite.all():
+            col = int(np.argmin(finite)) + 1
+            raise DataError(f"{path}:{lineno}:{col}: non-finite value {fields[col - 1]!r}")
+        raw_labels.append(fields[0])
+        rows.append(numbers[1:])
     if not rows:
         raise DataError(f"{path}: empty dataset")
     lengths = {len(r) for r in rows}
@@ -130,6 +128,19 @@ def load_ucr_split(
         label_map=label_map,
         split=split,
     )
+
+
+def _lines(path: Path):
+    """(number, text) of each non-blank line of a UTF-8 file, numbered from 1."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                # utf-8-sig drops a byte-order mark that some editors write first.
+                line = raw.decode("utf-8-sig" if lineno == 1 else "utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise DataError(f"{path}:{lineno}: not UTF-8 text: {exc}") from exc
+            if line:
+                yield lineno, line
 
 
 def _is_number(text: str) -> bool:
@@ -152,8 +163,9 @@ def load_dataset_pair(root, name: str) -> tuple[Dataset, Dataset]:
         train_path = base / f"{name}_TRAIN.tsv"
         test_path = base / f"{name}_TEST.tsv"
         if train_path.is_file() and test_path.is_file():
-            train = load_ucr_split(train_path, name=name, split="train")
-            test = load_ucr_split(test_path, name=name, split="test", label_map=train.label_map)
+            train = _scalable(load_ucr_split(train_path, name=name, split="train"), train_path)
+            test = _scalable(load_ucr_split(test_path, name=name, split="test",
+                                            label_map=train.label_map), test_path)
             if test.length != train.length:
                 raise UnsupportedDatasetError(
                     f"{name}: train length {train.length} != test length {test.length}"
@@ -163,6 +175,19 @@ def load_dataset_pair(root, name: str) -> tuple[Dataset, Dataset]:
         f"dataset {name!r} not found under {root} "
         f"(expected {name}_TRAIN.tsv / {name}_TEST.tsv)"
     )
+
+
+def _scalable(dataset: Dataset, path: Path) -> Dataset:
+    """``dataset``, or DataError naming the line of its first series whose
+    float64 mean or population std overflows (``znormalize`` divides by them)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = dataset.series
+        finite = np.isfinite(x.mean(axis=1)) & np.isfinite(x.std(axis=1))
+    if finite.all():
+        return dataset
+    lineno, _ = next(itertools.islice(_lines(path), int(np.argmin(finite)), None))
+    raise DataError(f"{path}:{lineno}: series mean or standard deviation overflows "
+                    "float64, so z-normalisation cannot scale it")
 
 
 def znormalize(dataset: Dataset, mode: str = "per_series") -> Dataset:

@@ -254,15 +254,15 @@ class TestTrainableParameters:
 
     def test_params_override_broadcasts_against_x(self):
         x = np.linspace(-3.0, 3.0, 7)
-        a = np.array([[0.5], [2.0]])
-        kind = zoo.activation("snake")
+        alpha = np.array([[0.1], [-0.3]])
+        kind = zoo.activation("prelu")
         for fn in (zoo.array_value, zoo.array_derivative):
-            rows = fn(kind, x, {"a": a})
+            rows = fn(kind, x, {"alpha": alpha})
             assert rows.shape == (2, 7)
-            for row, value in zip(rows, a[:, 0]):
-                assert np.array_equal(row, fn(kind, x, {"a": value}))
+            for row, value in zip(rows, alpha[:, 0]):
+                assert np.array_equal(row, fn(kind, x, {"alpha": value}))
 
-    @pytest.mark.parametrize("name, key, value", [("prelu", "alpha", 0.3), ("snake", "a", 1.7)])
+    @pytest.mark.parametrize("name, key, value", [("prelu", "alpha", 0.3)])
     def test_param_derivative_matches_finite_differences(self, name, key, value):
         kind = zoo.activation(name)
         x = np.linspace(-4.0, 4.0, 41)
@@ -272,6 +272,14 @@ class TestTrainableParameters:
               - zoo.array_value(kind, x, {key: value - h})) / (2 * h)
         ana = zoo.param_derivative(kind, x, {key: value})
         assert np.max(np.abs(ana - fd) / np.maximum(1.0, np.abs(ana))) < 1e-6
+
+    @pytest.mark.parametrize("name, params", [
+        ("relu", {"alpha": 0.5}), ("prelu", {}), ("snake", {"a": 0.37})])
+    def test_params_must_name_the_trainable_set(self, name, params):
+        for fn in (zoo.array_value_and_derivative, zoo.array_value, zoo.array_derivative,
+                   zoo.param_derivative):
+            with pytest.raises(ConfigError, match="params must name its trainable set"):
+                fn(zoo.activation(name), np.linspace(-1.0, 1.0, 5), params)
 
     def test_param_derivative_rejects_fixed_kinds(self):
         with pytest.raises(ConfigError):

@@ -314,18 +314,6 @@ class TestActivate:
 
         fd_check(build, [x, alpha], tol=1e-6)
 
-    def test_snake_parameter_gradient(self):
-        rng = np.random.default_rng(12)
-        x = ad.Tensor(rng.normal(size=(3, 2, 5)))
-        a = ad.Tensor(np.full(3, 1.0))
-        target = rng.normal(size=(3, 2, 5))
-        kind = zoo.activation("snake")
-
-        def build(tape):
-            return ad.mse(ad.activate(x, kind, tape, param=a), target, tape)
-
-        fd_check(build, [x, a], tol=1e-6)
-
     @pytest.mark.parametrize("name", zoo.ACTIVATION_NAMES)
     def test_fixed_parameter_path_matches_zoo(self, name):
         rng = np.random.default_rng(13)
@@ -546,7 +534,7 @@ class TestWhatTheTapeKeeps:
 
 
 class TestActivatePath:
-    @pytest.mark.parametrize("name, key", [("prelu", "alpha"), ("snake", "a")])
+    @pytest.mark.parametrize("name, key", [("prelu", "alpha")])
     def test_trainable_parameter_goes_through_the_catalog(self, monkeypatch, name, key):
         calls = []
         for fn_name in ("array_value", "array_derivative", "param_derivative"):

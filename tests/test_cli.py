@@ -538,6 +538,24 @@ class TestBoundaryValidation:
         assert f"{path}:3: not UTF-8 text" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    # Finite rows that z-normalisation would turn into zeros (the std overflows)
+    # or NaN (the mean overflows).
+    @pytest.mark.parametrize("row", [["1e308", "-1e308"], ["1e308"], ["9e307"]],
+                             ids=["spread", "constant-1e308", "constant-9e307"])
+    @pytest.mark.parametrize("command", ["train", "bench"])
+    @pytest.mark.filterwarnings("error")  # a numpy overflow warning fails the test
+    def test_series_that_cannot_be_scaled_exits_3_naming_the_line(
+        self, tmp_path, capsys, command, row
+    ):
+        argv = self._argv(tmp_path, command)
+        path = tmp_path / "ucr" / "S1" / "S1_TRAIN.tsv"
+        rows = [line.split("\t") for line in path.read_text().splitlines()]
+        rows[2][1:] = (row * 12)[:12]
+        path.write_text("".join("\t".join(r) + "\n" for r in rows))
+        assert run(argv) == 3
+        assert f"{path}:3: series mean or standard deviation overflows" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_non_utf8_dataset_list_exits_3_naming_the_file(self, tmp_path, capsys):
         argv = self._argv(tmp_path, "bench")
         listing = tmp_path / "sets.txt"

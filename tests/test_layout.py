@@ -62,9 +62,9 @@ def ref_batch_norm(x, gamma, beta, eps=ad.BN_EPS):
 
 
 def ref_activate(x, kind, param):
-    params = kind.params
+    params = None
     if param is not None:
-        (name,) = kind.params
+        (name,) = kind.learnable
         params = {name: param[None, :, None]}
     out = zoo.array_value(kind, x, params)
 
