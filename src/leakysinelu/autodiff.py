@@ -322,7 +322,8 @@ def activate(
     ``param`` carries a trainable tensor for the kind's trainable parameter
     (PReLU's alpha, the only one), one value per channel: along axis 0 of a
     (C,B,L) conv activation, along axis 1 of a (B,n) dense one. When omitted
-    the kind trains nothing, and its formula uses the catalog's values.
+    the kind trains nothing, and its formula uses the catalog's values; a
+    ``param`` for a kind with nothing to train is a ConfigError.
 
     Each activation is one formula that gives the value and the derivative
     together (``activations.array_value_and_derivative``). With no
@@ -343,6 +344,8 @@ def activate(
 
         return _emit(tape, kind.name, out_data, bwd)
 
+    if not kind.learnable:
+        raise ConfigError(f"{kind.name} has no trainable parameter")
     (name,) = kind.learnable
     if xd.ndim == 3:
         shape, other_axes = (-1, 1, 1), (1, 2)

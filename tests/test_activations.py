@@ -281,6 +281,15 @@ class TestTrainableParameters:
             with pytest.raises(ConfigError, match="params must name its trainable set"):
                 fn(zoo.activation(name), np.linspace(-1.0, 1.0, 5), params)
 
+    @pytest.mark.parametrize("name", zoo.ACTIVATION_NAMES)
+    def test_params_at_the_catalogs_values_give_the_catalogs_bits(self, name):
+        # Exactly the trainable set (empty for all but PReLU), at its defaults.
+        kind = zoo.activation(name)
+        x = np.linspace(-4.0, 4.0, 41)
+        params = {key: kind.params[key] for key in kind.learnable}
+        for fn in (zoo.array_value_and_derivative, zoo.array_value, zoo.array_derivative):
+            assert np.asarray(fn(kind, x, params)).tobytes() == np.asarray(fn(kind, x)).tobytes()
+
     def test_param_derivative_rejects_fixed_kinds(self):
         with pytest.raises(ConfigError):
             zoo.param_derivative(zoo.activation("elu"), np.zeros(3), {"alpha": 1.0})

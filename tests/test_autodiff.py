@@ -555,3 +555,10 @@ class TestActivatePath:
         assert calls == ["array_value", "array_derivative", "param_derivative"]
         assert param.grad is not None and param.grad.shape == (3,)
         assert np.array_equal(out.data, zoo.array_value(kind, x.data, {key: np.full((1, 3), 0.5)}))
+
+    @pytest.mark.parametrize(
+        "name", [name for name in zoo.ACTIVATION_NAMES if not zoo.activation(name).learnable])
+    def test_param_for_a_kind_that_trains_nothing_is_a_config_error(self, name):
+        x = ad.Tensor(np.zeros((4, 3)))
+        with pytest.raises(ConfigError, match=f"{name} has no trainable parameter"):
+            ad.activate(x, zoo.activation(name), ad.Tape(), param=ad.Tensor(np.ones(3)))

@@ -87,6 +87,35 @@ class TestLoad:
         assert train.label_map == test.label_map == {"-1": 0, "1": 1}
         assert test.labels.tolist() == [0, 1]
 
+    # Finite rows that z-normalisation would turn into zeros (the std
+    # overflows) or NaN (the mean overflows), in either file of the pair.
+    @pytest.mark.parametrize("row", [[1e308, -1e308], [1e308, 1e308], [9e307, 9e307]],
+                             ids=["spread", "constant-1e308", "constant-9e307"])
+    @pytest.mark.parametrize("split", ["TRAIN", "TEST"])
+    @pytest.mark.filterwarnings("error")  # a numpy overflow warning fails the test
+    def test_pair_rejects_a_series_it_cannot_scale_naming_the_line(self, tmp_path, split, row):
+        (tmp_path / "S").mkdir()
+        path = tmp_path / "S" / f"S_{split}.tsv"
+        for name in ("TRAIN", "TEST"):
+            series = np.arange(12.0).reshape(3, 4)
+            if name == split:
+                series[1] = row * 2
+            write_tsv(tmp_path / "S" / f"S_{name}.tsv", [1, 2, 1], series)
+        with pytest.raises(DataError) as err:
+            load_dataset_pair(tmp_path, "S")
+        assert str(err.value).startswith(f"{path}:2: series mean or standard deviation overflows")
+
+    @pytest.mark.filterwarnings("error")
+    def test_pair_keeps_the_bits_of_large_series_it_can_scale(self, tmp_path):
+        # A constant 4e307 series sums below the float64 limit; ±1e150 squares below it.
+        (tmp_path / "S").mkdir()
+        series = np.array([[4e307] * 4, [1e150, -1e150] * 2, [-4e307] * 4])
+        for name in ("TRAIN", "TEST"):
+            write_tsv(tmp_path / "S" / f"S_{name}.tsv", [1, 2, 1], series)
+        train, test = load_dataset_pair(tmp_path, "S")
+        assert train.series.tobytes() == test.series.tobytes() == series.tobytes()
+        assert np.isfinite(znormalize(train).series).all()
+
     def test_missing_dataset_pair(self, tmp_path):
         with pytest.raises(DataError):
             load_dataset_pair(tmp_path, "Nothing")

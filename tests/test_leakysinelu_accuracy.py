@@ -103,11 +103,22 @@ def check_snake(got, x, a, which):
 
 SNAKE = zoo.activation("snake")
 ARRAY_API = {"value": zoo.array_value, "derivative": zoo.array_derivative}
+# The oracle's a is the one the catalog records for Snake (and kind_to_dict hashes).
+SNAKE_A = [SNAKE.params["a"]]
 
 
 @pytest.mark.parametrize("which", list(ARRAY_API))
-def test_snake_array(which):
-    check_snake(ARRAY_API[which](SNAKE, INPUTS), INPUTS, 1.0, which)
+@pytest.mark.parametrize("a", SNAKE_A)
+def test_snake_array(a, which):
+    check_snake(ARRAY_API[which](SNAKE, INPUTS), INPUTS, a, which)
+
+
+@pytest.mark.parametrize("which", list(ARRAY_API))
+@pytest.mark.parametrize("a", SNAKE_A)
+def test_snake_scalar(a, which):
+    # A float x stays 0-d through the formula (the scalar API's path).
+    got = [float(ARRAY_API[which](SNAKE, float(x))) for x in INPUTS]
+    check_snake(got, INPUTS, a, which)
 
 
 def test_snake_scalar_api_is_a_at_one():
