@@ -7,10 +7,11 @@ are re-encoded to 0..C-1 in ascending numeric order of the original
 values, and train/test splits of one dataset share the encoding. The
 dataset root is the ``--data-root`` flag value, else ``$UCR_DATA_ROOT``.
 
-``load_ucr_split`` reads any finite value back as written. A dataset that a
-cell trains on comes through ``load_dataset_pair``, which also rejects a
-series whose float64 mean or standard deviation overflows: ``znormalize``
-would turn it into zeros or NaN.
+``load_ucr_split`` reads any finite value back as written. ``znormalize``
+rejects a series whose float64 mean or standard deviation is not finite (it
+would turn it into zeros or NaN), naming its index. ``load_dataset_pair``, the
+path of every dataset a cell trains on, rejects such a series as it loads,
+naming its file and line.
 """
 
 from __future__ import annotations
@@ -180,25 +181,39 @@ def load_dataset_pair(root, name: str) -> tuple[Dataset, Dataset]:
 def _scalable(dataset: Dataset, path: Path) -> Dataset:
     """``dataset``, or DataError naming the line of its first series whose
     float64 mean or population std overflows (``znormalize`` divides by them)."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        x = dataset.series
-        finite = np.isfinite(x.mean(axis=1)) & np.isfinite(x.std(axis=1))
-    if finite.all():
+    row = _moments(dataset.series)[2]
+    if row is None:
         return dataset
-    lineno, _ = next(itertools.islice(_lines(path), int(np.argmin(finite)), None))
+    lineno, _ = next(itertools.islice(_lines(path), row, None))
     raise DataError(f"{path}:{lineno}: series mean or standard deviation overflows "
                     "float64, so z-normalisation cannot scale it")
 
 
+def _moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, int | None]:
+    """Each series' float64 mean and population std, as (N, 1) columns, and
+    the index of the first series where either is not finite (None if none)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = x.mean(axis=1, keepdims=True)
+        std = x.std(axis=1, keepdims=True)
+    finite = np.isfinite(mean[:, 0]) & np.isfinite(std[:, 0])
+    return mean, std, None if finite.all() else int(np.argmin(finite))
+
+
 def znormalize(dataset: Dataset, mode: str = "per_series") -> Dataset:
-    """Rescale each series to mean 0, population std 1 (constants go to zero)."""
+    """Rescale each series to mean 0, population std 1 (constants go to zero).
+
+    DataError names the first series whose float64 mean or population std is
+    not finite: its values overflow them, or are not finite themselves.
+    """
     if mode not in ZNORM_MODES:
         raise DataError(f"unknown normalization mode {mode!r}")
     if mode == "none":
         return dataset
     x = dataset.series
-    mean = x.mean(axis=1, keepdims=True)
-    std = x.std(axis=1, keepdims=True)
+    mean, std, row = _moments(x)
+    if row is not None:
+        raise DataError(f"{dataset.name} {dataset.split} series {row}: its float64 mean or "
+                        "standard deviation is not finite, so z-normalisation cannot scale it")
     out = np.where(std < 1e-8, 0.0, (x - mean) / np.where(std < 1e-8, 1.0, std))
     return replace(dataset, series=out)
 

@@ -9,7 +9,12 @@ matrices, and one-vs-one scatter plots.
 Conventions: zero differences are dropped before ranking (classic Wilcoxon),
 and W = min(W+, W-). Both choices are recorded in report metadata.
 
-scipy is imported on first use, so `cli`, which imports this module, starts without it.
+Ranks come from a numpy helper that follows scipy's average-rank algorithm,
+so they are the bits of scipy's ``rankdata``. Of scipy only ``scipy.special``
+loads, on first use: ``chdtrc`` for the Friedman tail (the call behind the
+chi-square ``sf``) and ``ndtr`` for Wilcoxon's normal approximation. So `cli`,
+which imports this module, starts without scipy, and ``compare`` never loads
+scipy's statistics package.
 """
 
 from __future__ import annotations
@@ -45,6 +50,13 @@ __all__ = [
 EXACT_CUTOFF = 20
 
 
+def _finite(name: str, values) -> np.ndarray:
+    values = np.asarray(values, dtype=np.float64)
+    if not np.all(np.isfinite(values)):
+        raise ContractError(f"{name} contains non-finite values")
+    return values
+
+
 @dataclass(frozen=True)
 class AccuracyMatrix:
     """Complete (datasets x methods) accuracy block; no missing cells."""
@@ -54,7 +66,7 @@ class AccuracyMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
+        values = _finite("accuracy matrix", self.values)
         object.__setattr__(self, "values", values)
         if values.shape != (len(self.datasets), len(self.methods)):
             raise ContractError(
@@ -63,18 +75,38 @@ class AccuracyMatrix:
             )
         if len(self.methods) < 2 or len(self.datasets) < 2:
             raise ContractError("need at least 2 methods and 2 datasets")
-        if not np.all(np.isfinite(values)):
-            raise ContractError("accuracy matrix contains non-finite cells")
 
     def column(self, method: str) -> np.ndarray:
         return self.values[:, self.methods.index(method)]
 
 
+def _rankdata(x: np.ndarray) -> np.ndarray:
+    """Ranks of a finite 1-d array, 1 = lowest, ties get the mean tied position.
+
+    scipy's algorithm: a stable sort, dense ids of the distinct sorted values,
+    and the mean of each id's first and last position. Average ranks are
+    multiples of 0.5, so the float64 result is that of ``rankdata(x)``.
+    """
+    order = np.argsort(x, kind="mergesort")
+    y = x[order]
+    distinct = np.empty(x.size, dtype=bool)
+    distinct[:1] = True
+    distinct[1:] = y[1:] != y[:-1]
+    dense = np.empty(x.size, dtype=np.intp)
+    dense[order] = np.cumsum(distinct)
+    count = np.append(np.flatnonzero(distinct), x.size)
+    return 0.5 * (count[dense] + count[dense - 1] + 1)
+
+
 def rank_matrix(values: np.ndarray) -> np.ndarray:
     """Per-row ranks, 1 = highest value, ties get the mean tied position."""
-    from scipy.stats import rankdata
-
-    return rankdata(-np.asarray(values, dtype=np.float64), axis=1, method="average")
+    values = _finite("rank matrix", values)
+    if values.ndim != 2:
+        raise ContractError(f"rank_matrix needs a 2-d array, got {values.ndim}-d")
+    ranks = np.empty_like(values)
+    for i, row in enumerate(values):
+        ranks[i] = _rankdata(-row)
+    return ranks
 
 
 def average_ranks(matrix: AccuracyMatrix) -> np.ndarray:
@@ -84,14 +116,14 @@ def average_ranks(matrix: AccuracyMatrix) -> np.ndarray:
 
 def friedman(matrix: AccuracyMatrix) -> tuple[float, float]:
     """Friedman chi-square over average ranks, df = k - 1."""
-    from scipy.stats import chi2
+    from scipy.special import chdtrc  # what scipy's chi2.sf(stat, df) calls
 
     n, k = matrix.values.shape
     if k < 3:
         raise ConfigError("friedman needs k >= 3 methods; use wilcoxon for pairs")
     rbar = average_ranks(matrix)
     stat = 12.0 * n / (k * (k + 1)) * float(np.sum((rbar - (k + 1) / 2.0) ** 2))
-    return stat, float(chi2.sf(stat, k - 1))
+    return stat, float(chdtrc(k - 1, stat))
 
 
 @dataclass(frozen=True)
@@ -110,10 +142,9 @@ def wilcoxon_signed_rank(a, b) -> WilcoxonResult:
     counting on doubled ranks (integers even under average-rank ties).
     """
     from scipy.special import ndtr
-    from scipy.stats import rankdata
 
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    a = _finite("wilcoxon sample a", a)
+    b = _finite("wilcoxon sample b", b)
     if a.shape != b.shape or a.ndim != 1 or a.size < 1:
         raise ContractError("wilcoxon needs two equal-length 1-d samples")
     d = a - b
@@ -121,7 +152,7 @@ def wilcoxon_signed_rank(a, b) -> WilcoxonResult:
     n = d.size
     if n == 0:
         return WilcoxonResult(0.0, 1.0, 0, "degenerate")
-    ranks = rankdata(np.abs(d))
+    ranks = _rankdata(np.abs(d))
     w_plus = float(ranks[d > 0].sum())
     w_minus = float(ranks[d < 0].sum())
     w = min(w_plus, w_minus)
@@ -160,8 +191,8 @@ def holm_correct(pvals, alpha: float = 0.05) -> tuple[np.ndarray, np.ndarray]:
     pvals = np.asarray(pvals, dtype=np.float64)
     if pvals.ndim != 1 or pvals.size == 0:
         raise ContractError("holm_correct needs a non-empty 1-d p-value array")
-    if np.any((pvals < 0) | (pvals > 1)):
-        raise ContractError("p-values must lie in [0, 1]")
+    if not np.all((pvals >= 0) & (pvals <= 1)):
+        raise ContractError("p-values must lie in [0, 1] (NaN does not)")
     m = pvals.size
     order = np.argsort(pvals, kind="stable")
     adjusted_sorted = np.minimum(

@@ -168,6 +168,28 @@ class TestZnormalize:
         assert np.abs(out.series.std(axis=1) - 1.0).max() < 1e-9
 
 
+    # znormalize itself, called as the library allows, rejects what
+    # load_dataset_pair rejects, and a non-finite value in a Dataset built by hand.
+    @pytest.mark.parametrize("row", [[1e308, -1e308], [1e308, 1e308], [9e307, 9e307],
+                                     [np.nan, 1.0], [np.inf, 1.0]],
+                             ids=["spread", "constant-1e308", "constant-9e307", "nan", "inf"])
+    @pytest.mark.filterwarnings("error")  # a numpy overflow warning fails the test
+    def test_rejects_a_series_it_cannot_scale_naming_its_index(self, row):
+        with pytest.raises(DataError, match="^x train series 1: its float64 mean or standard "
+                                            "deviation is not finite"):
+            znormalize(self._ds([[1.0, 2.0], row, [3.0, 5.0]]))
+
+    @pytest.mark.filterwarnings("error")
+    def test_keeps_the_bits_of_the_formula(self):
+        rng = np.random.default_rng(3)
+        x = np.concatenate([rng.normal(loc=3.0, scale=10.0, size=(20, 8)),
+                            [[2e307] * 8, [1e150, -1e150] * 4, [-2.5] * 8]])
+        mean = x.mean(axis=1, keepdims=True)
+        std = x.std(axis=1, keepdims=True)
+        want = np.where(std < 1e-8, 0.0, (x - mean) / np.where(std < 1e-8, 1.0, std))
+        assert znormalize(self._ds(x)).series.tobytes() == want.tobytes()
+
+
 class TestRoundTrip:
     def test_save_load_value_identical(self, tmp_path):
         rng = np.random.default_rng(1)

@@ -1,6 +1,8 @@
 """A training process never imports scipy: `stats` and GELU load it on first
-use. The check runs in a fresh interpreter, because this test process has
-already imported scipy through other tests."""
+use. A `compare` process loads only ``scipy.special`` (``chdtrc`` for the
+Friedman tail, ``ndtr`` for Wilcoxon's normal approximation), never scipy's
+statistics package. Each check runs in a fresh interpreter, because this test
+process has already imported scipy through other tests."""
 
 import os
 import subprocess
@@ -49,10 +51,50 @@ CHILD = textwrap.dedent("""
 """)
 
 
-def test_training_process_loads_no_scipy():
+# 3 methods, so Friedman runs; 24 datasets with no tied accuracies, so every
+# pair's Wilcoxon test takes the normal approximation and calls ndtr.
+COMPARE_CHILD = textwrap.dedent("""
+    import json
+    import sys
+    from pathlib import Path
+
+    import numpy as np
+
+    from leakysinelu import cli
+
+    results, out = sys.argv[1], sys.argv[2]
+    rng = np.random.default_rng(0)
+    with open(results, "w") as fh:
+        for i in range(24):
+            for name in ("leakysinelu", "relu", "sine"):
+                fh.write(json.dumps({
+                    "dataset": f"d{i:02d}", "config_hash": f"{i}-{name}",
+                    "status": "completed", "accuracy": float(rng.uniform(0.5, 1.0)),
+                    "config": {"architecture": "mlp", "activation": {"name": name}}}) + "\\n")
+    assert cli.main(["compare", "--results", results, "--arch", "mlp", "--out", out]) == 0
+
+    (path,) = Path(out).glob("compare-*/report.json")
+    report = json.loads(path.read_text())
+    assert report["friedman_p"] is not None and len(report["pairs"]) == 3
+    assert "scipy.special" in sys.modules
+    loaded = sorted(m for m in sys.modules if m == "scipy.stats" or m.startswith("scipy.stats."))
+    assert not loaded, f"scipy.stats modules loaded by compare: {loaded[:5]}"
+    print("ok")
+""")
+
+
+def run_child(code, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", CHILD], capture_output=True, text=True,
+    out = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
                          env=env, timeout=300)
     assert out.returncode == 0, out.stderr[-2000:]
-    assert out.stdout.strip() == "ok"
+    assert out.stdout.splitlines()[-1:] == ["ok"]
+
+
+def test_training_process_loads_no_scipy():
+    run_child(CHILD)
+
+
+def test_compare_process_loads_no_scipy_stats(tmp_path):
+    run_child(COMPARE_CHILD, str(tmp_path / "results.jsonl"), str(tmp_path / "cmp"))

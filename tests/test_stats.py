@@ -2,14 +2,15 @@ import itertools
 
 import numpy as np
 import pytest
-from scipy.stats import rankdata
+from scipy.stats import chi2, rankdata
 
-from hypothesis import example, given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from leakysinelu.errors import ConfigError, ContractError, DataError
 from leakysinelu.stats import (
     AccuracyMatrix,
+    _rankdata,
     _interval_cliques,
     average_ranks,
     build_report,
@@ -92,6 +93,66 @@ class TestRanks:
     def test_incomplete_matrix_rejected(self):
         with pytest.raises(ContractError):
             AccuracyMatrix(("a", "b"), ("d1", "d2"), np.array([[0.5, np.nan], [0.5, 0.5]]))
+
+
+# Values drawn mostly from a few, so heavy ties, +0.0 against -0.0 and
+# all-equal rows occur; any finite float64 otherwise.
+_V = st.one_of(st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0]),
+               st.floats(allow_nan=False, allow_infinity=False))
+
+
+class TestRanksMatchScipy:
+    """scipy.stats is the oracle: the numpy ranks give the bits of its
+    rankdata, and the Friedman p-value the bits of its chi2.sf."""
+
+    @seed(27)
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(_V, min_size=1, max_size=40))
+    @example([0.5])
+    @example([0.7] * 9)
+    @example([0.0, -0.0, 0.0, -0.0, 1.0, -0.0])
+    def test_average_ranks_are_rankdata_bits(self, row):
+        x = np.array(row)
+        assert _rankdata(x).tobytes() == rankdata(x).tobytes()
+
+    @seed(27)
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 30), st.integers(3, 8), st.integers(1, 6),
+           st.integers(0, 2**32 - 1))
+    @example(2, 3, 1, 0)  # every row all equal
+    def test_friedman_p_is_chi2_sf_bits(self, n, k, levels, rng_seed):
+        rng = np.random.default_rng(rng_seed)
+        values = rng.integers(0, levels, size=(n, k)) / levels - 0.5  # ties, and -0.0
+        m = AccuracyMatrix(tuple(f"m{j}" for j in range(k)),
+                           tuple(f"d{i}" for i in range(n)), values)
+        assert rank_matrix(values).tobytes() == rankdata(-values, axis=1).tobytes()
+        stat, p = friedman(m)
+        assert np.float64(p).tobytes() == np.float64(chi2.sf(stat, k - 1)).tobytes()
+
+
+class TestNonFiniteInputIsAContractError:
+    """Each case is a one-line ContractError, with no numpy warning on the way."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("a, b, which", [
+        ([0.5, np.nan, 0.7], [0.4, 0.3, 0.2], "a"),
+        ([np.inf] * 3, [np.inf] * 3, "a"),
+        ([0.5, 0.6, 0.7], [0.4, -np.inf, 0.2], "b"),
+    ], ids=["nan", "inf-against-inf", "minus-inf"])
+    def test_wilcoxon(self, a, b, which):
+        with pytest.raises(ContractError, match=f"^wilcoxon sample {which} contains "
+                                                "non-finite values$"):
+            wilcoxon_signed_rank(a, b)
+
+    def test_holm_nan(self):
+        with pytest.raises(ContractError,
+                           match=r"^p-values must lie in \[0, 1\] \(NaN does not\)$"):
+            holm_correct([np.nan, 0.1])
+
+    @pytest.mark.filterwarnings("error")
+    def test_rank_matrix_nan_row(self):
+        with pytest.raises(ContractError, match="^rank matrix contains non-finite values$"):
+            rank_matrix(np.array([[0.9, np.nan, 0.7], [0.6, 0.5, 0.4]]))
 
 
 class TestFriedman:
