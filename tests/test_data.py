@@ -167,7 +167,6 @@ class TestZnormalize:
         assert np.abs(out.series.mean(axis=1)).max() < 1e-9
         assert np.abs(out.series.std(axis=1) - 1.0).max() < 1e-9
 
-
     # znormalize itself, called as the library allows, rejects what
     # load_dataset_pair rejects, and a non-finite value in a Dataset built by hand.
     @pytest.mark.parametrize("row", [[1e308, -1e308], [1e308, 1e308], [9e307, 9e307],

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from leakysinelu.errors import ConfigError, ContractError, DataError
 from leakysinelu.stats import (
     AccuracyMatrix,
-    _rankdata,
     _interval_cliques,
+    _rankdata,
     average_ranks,
     build_report,
     friedman,
@@ -122,7 +122,7 @@ class TestRanksMatchScipy:
     @example(2, 3, 1, 0)  # every row all equal
     def test_friedman_p_is_chi2_sf_bits(self, n, k, levels, rng_seed):
         rng = np.random.default_rng(rng_seed)
-        values = rng.integers(0, levels, size=(n, k)) / levels - 0.5  # ties, and -0.0
+        values = rng.integers(0, levels, size=(n, k)) / levels - 0.5  # ties; 0.0 negates to -0.0
         m = AccuracyMatrix(tuple(f"m{j}" for j in range(k)),
                            tuple(f"d{i}" for i in range(n)), values)
         assert rank_matrix(values).tobytes() == rankdata(-values, axis=1).tobytes()
