@@ -66,7 +66,7 @@ class AccuracyMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        values = _finite("accuracy matrix", self.values)
+        values = np.asarray(self.values, dtype=np.float64)
         object.__setattr__(self, "values", values)
         if values.shape != (len(self.datasets), len(self.methods)):
             raise ContractError(
@@ -75,6 +75,8 @@ class AccuracyMatrix:
             )
         if len(self.methods) < 2 or len(self.datasets) < 2:
             raise ContractError("need at least 2 methods and 2 datasets")
+        if not np.all(np.isfinite(values)):
+            raise ContractError("accuracy matrix contains non-finite cells")
 
     def column(self, method: str) -> np.ndarray:
         return self.values[:, self.methods.index(method)]
