@@ -35,6 +35,9 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_DIVERGED = 4
 EXIT_INCOMPLETE = 5
+# The exit code of an error: the first kind it is an instance of decides.
+ERROR_EXITS = ((ConfigError, EXIT_USAGE), (DataError, EXIT_DATA), (NumericError, EXIT_DIVERGED),
+               (LeakySineLUError, 1))
 
 # Settings that change where/how work runs but not what it computes.
 _VOLATILE_KEYS = {"out", "jobs", "data_root"}
@@ -393,18 +396,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(_protect_dash_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
     except LeakySineLUError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next(code for kind, code in ERROR_EXITS if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

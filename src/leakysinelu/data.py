@@ -200,7 +200,8 @@ def _moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, int | None]:
 
 
 def znormalize(dataset: Dataset, mode: str = "per_series") -> Dataset:
-    """Rescale each series to mean 0, population std 1 (constants go to zero).
+    """Rescale each series to mean 0, population std 1, at any scale; only a
+    series whose values are all equal becomes zeros.
 
     DataError names the first series whose float64 mean or population std is
     not finite: its values overflow them, or are not finite themselves.
@@ -214,7 +215,16 @@ def znormalize(dataset: Dataset, mode: str = "per_series") -> Dataset:
     if row is not None:
         raise DataError(f"{dataset.name} {dataset.split} series {row}: its float64 mean or "
                         "standard deviation is not finite, so z-normalisation cannot scale it")
-    out = np.where(std < 1e-8, 0.0, (x - mean) / np.where(std < 1e-8, 1.0, std))
+    flat = (x == x[:, :1]).all(axis=1, keepdims=True)
+    small = std < 1e-8
+    out = np.where(flat | small, 0.0, (x - mean) / np.where(small, 1.0, std))
+    rows = (small & ~flat)[:, 0]
+    if rows.any():
+        # A series this small is first scaled by its largest deviation, so no
+        # square underflows (its std may even read 0) and its spread survives.
+        dev = x[rows] - mean[rows]
+        unit = dev / np.abs(dev).max(axis=1, keepdims=True)
+        out[rows] = (unit - unit.mean(axis=1, keepdims=True)) / unit.std(axis=1, keepdims=True)
     return replace(dataset, series=out)
 
 

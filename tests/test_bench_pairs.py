@@ -1,6 +1,6 @@
 """``tools/bench_pairs.py``: its seed lists, its workload choices, which
-come from BENCHMARK.json, its summary of the pairs, how a rerun adds to a
-file, and its clean-up when it is stopped."""
+come from BENCHMARK.json, its summary of the pairs, the digests it takes
+from them, how a rerun adds to a file, and its clean-up when it is stopped."""
 
 import importlib.util
 import json
@@ -141,20 +141,23 @@ def test_verdicts_of_committed_pairs(topic, verdicts):
             assert summary[m["name"]]["verdict"] == want, (workload, m["name"])
 
 
-def fake_bench(monkeypatch, tmp_path, commits):
+def fake_bench(monkeypatch, tmp_path, commits, odd=None):
     """Point bench_pairs at ``tmp_path`` with ``commits`` (rev -> sha) for git
-    and stand-ins for snapshot, extract and run_once; returns the runs' (side,
-    seed) list, each side told apart by the directory it is extracted to."""
+    and stand-ins for snapshot, extract and run_once, whose runs give the
+    digest ``d<seed>``, but ``x`` for the run ``odd`` (side, seed, number of
+    the run in the test); returns the runs' (side, seed, seconds)
+    list, each side told apart by the directory it is extracted to."""
     (tmp_path / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     runs = []
 
     def run_once(tree, workload, seed, seconds):
         side = tree.name
-        runs.append((side, seed))
+        runs.append((side, seed, seconds))
         values = {m["name"]: float(len(runs)) for m in spec["end_to_end"]}
-        values.update(correct=True, failed=0)
-        return {"values": values, "digest": f"{side} {seed}", "env": {"numpy": "x"}}
+        digest = "x" if (side, seed, len(runs)) == odd else f"d{seed}"
+        values.update(correct=True, failed=0, digest=digest)
+        return values, {"numpy": "x"}
 
     monkeypatch.setattr(bench_pairs.signal, "signal", lambda signum, handler: None)
     monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
@@ -165,13 +168,28 @@ def fake_bench(monkeypatch, tmp_path, commits):
     return runs
 
 
-def call(workload, pairs, parent="HEAD"):
+def call(workload, pairs, parent="HEAD", seeds="1,2"):
     return bench_pairs.main(["--topic", "t", "--parent", parent, "--workload", workload,
-                             "--pairs", str(pairs), "--seeds", "1,2"])
+                             "--pairs", str(pairs), "--seeds", seeds])
+
+
+@pytest.mark.parametrize("text", ["5-1", "0--1"])
+def test_empty_seed_list_exits_2_before_anything_is_extracted(monkeypatch, tmp_path, capsys,
+                                                               text):
+    runs, extracted = fake_bench(monkeypatch, tmp_path, {"HEAD": "a" * 40}), []
+    monkeypatch.setattr(bench_pairs, "extract", lambda rev, dest: extracted.append(rev) or dest)
+    with pytest.raises(SystemExit) as exc:
+        call("sweep", 1, seeds=text)
+    assert exc.value.code == 2
+    assert f"argument --seeds: no seed in {text!r}" in capsys.readouterr().err
+    assert runs == extracted == [] and not (tmp_path / "BENCH_t.json").exists()
 
 
 def test_rerun_appends_its_pairs_and_summarises_all(monkeypatch, tmp_path):
-    runs = fake_bench(monkeypatch, tmp_path, {"HEAD": "a" * 40})
+    runs, calls = fake_bench(monkeypatch, tmp_path, {"HEAD": "a" * 40}), []
+    shared = bench_pairs.run_pairs
+    monkeypatch.setattr(bench_pairs, "run_pairs",
+                        lambda *args: calls.append(args) or shared(*args))
     assert call("mlp_cell", 2) == 0 and call("sweep", 1) == 0
     first = json.loads((tmp_path / "BENCH_t.json").read_text())
     assert call("mlp_cell", 3) == 0
@@ -181,14 +199,61 @@ def test_rerun_appends_its_pairs_and_summarises_all(monkeypatch, tmp_path):
     assert [p["seed"] for p in pairs] == [1, 2, 1, 2, 1]
     # the parent runs first in the even-numbered pairs of the list, across calls
     assert [p["first"] for p in pairs] == ["parent", "change"] * 2 + ["parent"]
-    assert runs[6:] == [("parent", 1), ("change", 1), ("change", 2), ("parent", 2),
-                        ("parent", 1), ("change", 1)]
+    assert [run[:2] for run in runs[6:]] == [("parent", 1), ("change", 1), ("change", 2),
+                                             ("parent", 2), ("parent", 1), ("change", 1)]
     summary = doc["summary"]["mlp_cell"]
     assert summary == bench_pairs.summarize(pairs, json.loads(
         (tmp_path / "BENCHMARK.json").read_text())["end_to_end"])
     assert summary["cell_s"]["pairs"] == 5
+    # every call went through the shared pair function, after the pairs it had
+    assert [len(c[2]) for c in calls] == [0, 0, 2]
     assert doc["workloads"]["sweep"] == first["workloads"]["sweep"]
     assert (doc["commits"]["parent"], doc["commits"]["change_tree"]) == ("a" * 40, "c" * 40)
+
+
+def test_digests_come_from_the_timed_pairs(monkeypatch, tmp_path):
+    runs = fake_bench(monkeypatch, tmp_path, {"HEAD": "a" * 40})
+    assert call("mlp_cell", 3, seeds="1-2") == 0 and call("sweep", 1, seeds="7") == 0
+    doc = json.loads((tmp_path / "BENCH_t.json").read_text())
+    # every run is a timed one: no extra short run per side and seed
+    seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+    assert len(runs) == 8 and {s for *_, s in runs} == {seconds}
+    pairs = doc["workloads"]["mlp_cell"]["pairs"]
+    assert [(p["parent"]["digest"], p["change"]["digest"]) for p in pairs] == [
+        ("d1", "d1"), ("d2", "d2"), ("d1", "d1")]
+    assert doc["digests"] == {
+        "mlp_cell seed 1": {"parent": "d1", "change": "d1", "equal": True},
+        "mlp_cell seed 2": {"parent": "d2", "change": "d2", "equal": True},
+        "sweep seed 7": {"parent": "d7", "change": "d7", "equal": True}}
+
+
+# Runs 1-8 of four pairs are seed 1 parent, change; seed 2 change, parent;
+# seed 1 parent, change; seed 2 change, parent.
+@pytest.mark.parametrize("odd", [("parent", 1, 1), ("change", 1, 6), ("parent", 2, 8)])
+def test_a_seed_is_unequal_when_one_of_its_runs_disagrees(monkeypatch, tmp_path, odd):
+    runs = fake_bench(monkeypatch, tmp_path, {"HEAD": "a" * 40}, odd=odd)
+    assert call("fcn_cell", 4) == 0
+    assert runs[odd[2] - 1][:2] == odd[:2]
+    got = json.loads((tmp_path / "BENCH_t.json").read_text())["digests"]
+    assert {key: entry["equal"] for key, entry in got.items()} == {
+        "fcn_cell seed 1": odd[1] != 1, "fcn_cell seed 2": odd[1] != 2}
+
+
+def test_appended_pairs_without_digests_keep_the_recorded_digests(monkeypatch, tmp_path):
+    fake_bench(monkeypatch, tmp_path, {"HEAD": "a" * 40})
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    side = {**{m["name"]: 1.0 for m in metrics}, "correct": True, "failed": 0}
+    old = {"seed": 3, "first": "parent", "parent": side, "change": side}
+    recorded = {"sweep seed 3": {"parent": "p", "change": "q", "equal": False}}
+    (tmp_path / "BENCH_t.json").write_text(json.dumps({
+        "commits": {"parent": "a" * 40}, "digests": recorded,
+        "workloads": {"sweep": {"pairs": [old]}}}))
+    assert call("sweep", 1, seeds="4") == 0
+    doc = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert doc["workloads"]["sweep"]["pairs"][0] == old
+    assert doc["workloads"]["sweep"]["pairs"][1]["first"] == "change"
+    assert doc["digests"] == {**recorded, "sweep seed 4": {"parent": "d4", "change": "d4",
+                                                          "equal": True}}
 
 
 def test_rerun_against_another_parent_exits_naming_the_file(monkeypatch, tmp_path):

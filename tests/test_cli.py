@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from leakysinelu import cli, errors
 from leakysinelu.cli import main
 
-from conftest import make_ucr_root
+from conftest import make_ucr_root, synth_series, write_tsv
 
 
 def run(argv):
@@ -79,6 +80,20 @@ class TestTrain:
         records = read_jsonl(outdir / "results.jsonl")
         assert len(records) == 1 and records[0]["status"] == "completed"
         assert 0.0 <= records[0]["accuracy"] <= 1.0
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-9])
+    def test_trains_at_any_scale(self, tmp_path, capsys, scale):
+        # Sines of 1 and 2 cycles plus 5 % noise: z-normalisation scales a
+        # series of std 1e-9 as it scales one of std 1.
+        rng = np.random.default_rng(0)
+        for split in ("TRAIN", "TEST"):
+            labels, series = synth_series(rng, (1, 2), 10, 32)
+            (tmp_path / "S").mkdir(exist_ok=True)
+            write_tsv(tmp_path / "S" / f"S_{split}.tsv", labels, scale * series)
+        assert run(["train", "--arch", "mlp", "--activation", "leakysinelu", "--dataset", "S",
+                    "--data-root", str(tmp_path), "--epochs", "30",
+                    "--out", str(tmp_path / "out")]) == 0
+        assert "accuracy=1.000000" in capsys.readouterr().out
 
     def test_zero_epochs_still_records(self, tmp_path):
         root = make_ucr_root(tmp_path / "ucr", ["S1"], n_train=8, n_test=8, length=12)
@@ -582,3 +597,28 @@ class TestSharedFlags:
         assert (args.arch, args.data_root, args.epochs, args.seed,
                 args.batch_size, args.no_norm_layers, args.no_znorm, args.out) == (
                     "fcn", "r", 3, 4, 5, True, True, "o")
+
+
+class TestExitCodes:
+    # A subclass takes the code of the first kind in the table it belongs to.
+    @pytest.mark.parametrize("error, code", [
+        (errors.ConfigError, 2), (errors.DataError, 3), (errors.UnsupportedDatasetError, 3),
+        (errors.NumericError, 4), (errors.ContractError, 1),
+        (errors.ShapeError, 1), (errors.LeakySineLUError, 1),
+    ])
+    def test_each_error_kind_prints_one_line_and_exits_with_its_code(
+            self, monkeypatch, capsys, error, code):
+        def fail(args):
+            raise error("it broke")
+
+        monkeypatch.setattr(cli, "cmd_analyze", fail)
+        assert run(["analyze", "--activation", "relu"]) == code
+        assert capsys.readouterr().err == "error: it broke\n"
+
+    def test_an_error_of_another_kind_is_not_caught(self, monkeypatch):
+        def fail(args):
+            raise ValueError("a bug")
+
+        monkeypatch.setattr(cli, "cmd_analyze", fail)
+        with pytest.raises(ValueError, match="a bug"):
+            run(["analyze", "--activation", "relu"])

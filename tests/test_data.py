@@ -3,7 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from leakysinelu.data import (
@@ -116,6 +116,20 @@ class TestLoad:
         assert train.series.tobytes() == test.series.tobytes() == series.tobytes()
         assert np.isfinite(znormalize(train).series).all()
 
+    def test_pair_in_the_flat_layout(self, tmp_path):
+        # <root>/<name>_TRAIN.tsv is read when <root>/<name>/ holds no pair.
+        write_tsv(tmp_path / "Flat_TRAIN.tsv", [1, 2, 1], np.arange(12.0).reshape(3, 4))
+        write_tsv(tmp_path / "Flat_TEST.tsv", [2, 1], np.arange(8.0).reshape(2, 4))
+        train, test = load_dataset_pair(tmp_path, "Flat")
+        assert (train.name, train.split, test.split) == ("Flat", "train", "test")
+        assert train.series.tolist() == np.arange(12.0).reshape(3, 4).tolist()
+        assert test.labels.tolist() == [1, 0] and train.label_map == {"1": 0, "2": 1}
+        # The per-dataset directory comes first when both layouts hold the pair.
+        (tmp_path / "Flat").mkdir()
+        for split in ("TRAIN", "TEST"):
+            write_tsv(tmp_path / "Flat" / f"Flat_{split}.tsv", [1, 2], [[5.0, 6.0]] * 2)
+        assert load_dataset_pair(tmp_path, "Flat")[0].series.tolist() == [[5.0, 6.0]] * 2
+
     def test_missing_dataset_pair(self, tmp_path):
         with pytest.raises(DataError):
             load_dataset_pair(tmp_path, "Nothing")
@@ -177,6 +191,42 @@ class TestZnormalize:
         with pytest.raises(DataError, match="^x train series 1: its float64 mean or standard "
                                             "deviation is not finite"):
             znormalize(self._ds([[1.0, 2.0], row, [3.0, 5.0]]))
+
+    @pytest.mark.filterwarnings("error")
+    def test_small_scale_series_keep_their_shape(self):
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(6, 16))
+        want = znormalize(self._ds(x)).series
+        for scale in (1e-9, 1e-100, 1e-300):
+            assert np.allclose(znormalize(self._ds(scale * x)).series, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    def test_only_equal_values_become_zeros(self):
+        # The float64 mean of these equal values is off by an ulp, so their std
+        # is not 0: 1e-17, and 1e15 for the second.
+        for row in ([0.1] * 3, [7e30 * 1.1] * 7):
+            assert np.array_equal(znormalize(self._ds([row])).series, [[0.0] * len(row)])
+        # The squares of the subnormal row underflow, so its std reads 0.
+        out = znormalize(self._ds([[0.0, 5e-324, 0.0], [1.0, 1.0 + 2.0 ** -52, 1.0]])).series
+        assert np.allclose(out, [[-0.5 ** 0.5, 2 ** 0.5, -0.5 ** 0.5]] * 2, rtol=1e-12)
+
+    @seed(28)
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(st.lists(st.floats(-1e150, 1e150), min_size=2, max_size=16))
+    @example([0.0, 5e-324])
+    @example([1e-200, 2e-200, -3e-200])
+    @example([1.0, 1.0 + 2.0 ** -52])
+    @example([-1e150, 1.0, 2.0])
+    def test_a_row_not_all_equal_keeps_its_spread(self, row):
+        x = np.array(row)
+        if (x == x[0]).all():
+            return
+        out = znormalize(self._ds([x])).series[0]
+        assert np.isfinite(out).all() and out.max() > out.min()
+        assert np.abs(out).max() <= np.sqrt(len(x)) * (1 + 1e-9)
+        # z-normalisation is a monotone map of the values
+        order = np.argsort(x, kind="stable")
+        assert (np.diff(out[order]) >= 0).all()
 
     @pytest.mark.filterwarnings("error")
     def test_keeps_the_bits_of_the_formula(self):

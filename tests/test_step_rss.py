@@ -1,5 +1,5 @@
-"""``tools/step_rss.py``: its summary of the pairs, how a rerun adds to a
-file, and one toy-size run of each side from its own tree."""
+"""``tools/step_rss.py``: its summary of the pairs, its fixed shape, how a
+rerun adds to a file, and one toy-size run of each side from its own tree."""
 
 import json
 import sys
@@ -9,6 +9,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "tools"))
+import bench_pairs  # noqa: E402
 import step_rss  # noqa: E402
 
 
@@ -38,64 +39,86 @@ def test_summarize_takes_the_final_rss_and_leaves_out_step_one():
 def fake_runs(monkeypatch, tmp_path, commits):
     """Stand-ins for git (``commits``: rev -> sha), snapshot, extract and
     run_once, with the temporary directory under ``tmp_path``; returns the
-    runs' sides, told apart by the directory each side is extracted to."""
-    runs = []
+    runs' sides, told apart by the directory each side is extracted to, and
+    the calls of the shared pair function."""
+    runs, calls = [], []
 
-    def run_once(tree, args):
+    def run_once(tree, seed):
         runs.append(tree.name)
         return run([100.0, 100.0 + len(runs)], [1.0, 0.5])
 
-    monkeypatch.setattr(step_rss.tempfile, "tempdir", str(tmp_path))
-    monkeypatch.setattr(step_rss.signal, "signal", lambda signum, handler: None)
-    monkeypatch.setattr(step_rss, "git", lambda cmd, rev: commits[rev])
-    monkeypatch.setattr(step_rss, "snapshot", lambda index: "c" * 40)
-    monkeypatch.setattr(step_rss, "extract", lambda rev, dest: dest)
+    def run_pairs(*args):
+        calls.append(args)
+        return shared(*args)
+
+    shared = bench_pairs.run_pairs
+    monkeypatch.setattr(bench_pairs.tempfile, "tempdir", str(tmp_path))
+    monkeypatch.setattr(bench_pairs.signal, "signal", lambda signum, handler: None)
+    monkeypatch.setattr(bench_pairs, "git", lambda cmd, rev: commits[rev])
+    monkeypatch.setattr(bench_pairs, "snapshot", lambda index: "c" * 40)
+    monkeypatch.setattr(bench_pairs, "extract", lambda rev, dest: dest)
     monkeypatch.setattr(step_rss, "run_once", run_once)
-    return runs
+    monkeypatch.setattr(step_rss, "run_pairs", run_pairs)
+    return runs, calls
 
 
-def call(out_dir, pairs, length=16, parent="HEAD"):
-    return step_rss.main(["--topic", "t", "--parent", parent, "--length", str(length),
-                          "--batch", "4", "--pairs", str(pairs)], out_dir=out_dir)
+def call(out_dir, pairs, parent="HEAD"):
+    return step_rss.main(["--topic", "t", "--parent", parent, "--pairs", str(pairs)],
+                         out_dir=out_dir)
+
+
+@pytest.mark.parametrize("flag", ["--length", "--batch", "--steps"])
+def test_the_shape_is_fixed(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        step_rss.parse_args(["--topic", "t", "--parent", "HEAD", flag, "512"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 512" in capsys.readouterr().err
+    assert (step_rss.LENGTH, step_rss.BATCH, step_rss.STEPS) == (1024, 16, 6)
 
 
 def test_rerun_appends_its_pairs_and_summarises_all(monkeypatch, tmp_path):
-    runs = fake_runs(monkeypatch, tmp_path, {"HEAD": "a" * 40})
-    assert call(tmp_path, 1) == 0 and call(tmp_path, 1, length=32) == 0
+    runs, calls = fake_runs(monkeypatch, tmp_path, {"HEAD": "a" * 40})
+    other = {"pairs": [], "summary": {}}
+    (tmp_path / "BENCH_t.json").write_text(json.dumps({"step_rss": {"L=32 B=4": other}}))
+    assert call(tmp_path, 1) == 0
     first = json.loads((tmp_path / "BENCH_t.json").read_text())
     assert call(tmp_path, 2) == 0
     doc = json.loads((tmp_path / "BENCH_t.json").read_text())
-    pairs = doc["step_rss"]["L=16 B=4"]["pairs"]
-    assert pairs[:1] == first["step_rss"]["L=16 B=4"]["pairs"]
+    pairs = doc["step_rss"]["L=1024 B=16"]["pairs"]
+    assert pairs[:1] == first["step_rss"]["L=1024 B=16"]["pairs"]
     # the parent runs first in the even-numbered pairs of the list, across calls
     assert [p["first"] for p in pairs] == ["parent", "change", "parent"]
-    assert runs[4:] == ["change", "parent", "parent", "change"]
-    summary = doc["step_rss"]["L=16 B=4"]["summary"]
+    assert runs == ["parent", "change", "change", "parent", "parent", "change"]
+    assert len(calls) == 2 and [len(c[2]) for c in calls] == [0, 1]
+    summary = doc["step_rss"]["L=1024 B=16"]["summary"]
     assert summary == step_rss.summarize(pairs) and summary["max_rss_mb"]["pairs"] == 3
-    assert doc["step_rss"]["L=32 B=4"] == first["step_rss"]["L=32 B=4"]
+    assert doc["step_rss"]["L=32 B=4"] == other
+    assert doc["step_rss"]["L=1024 B=16"]["command"] == (
+        "python3 tools/step_rss.py --topic t --parent HEAD --pairs 2 --seed 1")
     assert (doc["commits"]["parent"], doc["commits"]["change_tree"]) == ("a" * 40, "c" * 40)
     assert [p.name for p in tmp_path.iterdir()] == ["BENCH_t.json"]
 
 
 def test_rerun_against_another_parent_exits_naming_the_file(monkeypatch, tmp_path):
-    runs = fake_runs(monkeypatch, tmp_path, {"HEAD": "a" * 40, "HEAD~1": "b" * 40})
+    runs, _ = fake_runs(monkeypatch, tmp_path, {"HEAD": "a" * 40, "HEAD~1": "b" * 40})
     assert call(tmp_path, 1) == 0
     before = (tmp_path / "BENCH_t.json").read_text()
     del runs[:]
     with pytest.raises(SystemExit, match=r"BENCH_t\.json was measured against parent a+, "
                                          r"not b+"):
         call(tmp_path, 1, parent="HEAD~1")
-    with pytest.raises(SystemExit, match=r"BENCH_t\.json"):
-        call(tmp_path, 1, length=32, parent="HEAD~1")
     assert runs == []
     assert (tmp_path / "BENCH_t.json").read_text() == before
 
 
 def test_toy_run_records_every_step_of_both_sides(tmp_path, monkeypatch):
-    monkeypatch.setattr(step_rss.tempfile, "tempdir", str(tmp_path))
+    # The real runs at a toy shape in place of L=1024, 16 series and 6 steps.
+    monkeypatch.setattr(step_rss, "LENGTH", 16)
+    monkeypatch.setattr(step_rss, "BATCH", 4)
+    monkeypatch.setattr(step_rss, "STEPS", 3)
+    monkeypatch.setattr(bench_pairs.tempfile, "tempdir", str(tmp_path))
     (tmp_path / "BENCH_toy.json").write_text(json.dumps({"topic": "kept"}))
-    argv = ["--topic", "toy", "--parent", "HEAD", "--length", "16", "--batch", "4",
-            "--steps", "3", "--pairs", "1"]
+    argv = ["--topic", "toy", "--parent", "HEAD", "--pairs", "1"]
     assert step_rss.main(argv, out_dir=tmp_path) == 0
     doc = json.loads((tmp_path / "BENCH_toy.json").read_text())
     assert doc["topic"] == "kept"

@@ -3,33 +3,29 @@
 Usage (from the repository root):
 
     python3 tools/bench_pairs.py --topic layout --parent HEAD~1 --workload fcn_cell \
-        --pairs 10 --seeds 1-5 --digest-seeds 1-10
+        --pairs 10 --seeds 1-10
 
-The parent is extracted with ``git archive <rev> | tar -x`` into a temporary
-directory. The change is the working tree, untracked files included and
-ignored ones left out, written as a git tree through a temporary index (the
-index and HEAD are not touched) and extracted the same way beside it; its
-tree id is recorded under ``commits``. So neither side runs from the
-checkout, whose directory alone moved a run's max RSS. Each run lasts
-BENCHMARK.json's ``run_seconds``. The i-th pair of a call runs
-seed ``seeds[i % len(seeds)]`` on both sides; the parent runs first in the
-even-numbered pairs of the workload's list, so appended pairs keep alternating.
-``--digest-seeds`` adds one ``--seconds 1`` run per side and seed, to compare
-the determinism digests. Results go to ``BENCH_<topic>.json`` at the root:
-the per-pair metric values, each side's median, the parent's interquartile
-range, how many pairs the change won and lost (by BENCHMARK.json's
-``better``) and, for a metric with a ``bound``, its verdict (worse, gain,
-unresolved or within bound; see ``verdict``), all over the pairs whose runs
-both passed their output checks,
-how many pairs that left out, each side's failed runs and failed operations,
-the digests and the machine stamp (the report's env, the C library and its
+``run_pairs``, which ``tools/step_rss.py`` shares, extracts the parent with
+``git archive <rev> | tar -x`` into a temporary directory, and the change,
+the working tree (untracked files included, ignored ones left out) written
+as a git tree through a temporary index, the same way beside it. So neither
+side runs from the checkout, whose directory alone moved a run's max RSS.
+Each run lasts BENCHMARK.json's ``run_seconds``. The i-th pair of a call
+runs seed ``seeds[i % len(seeds)]`` on both sides; the parent runs first in
+the even-numbered pairs of the workload's list, so appended pairs keep
+alternating. Results go to ``BENCH_<topic>.json`` at the root: each pair's
+metric values and digests; per metric, each side's median, the parent's
+interquartile range, the change's wins and losses (by BENCHMARK.json's
+``better``) and, with a ``bound``, its ``verdict``, all over the pairs whose
+runs both passed their output checks; how many pairs that left out; each
+side's failed runs and operations; one ``digests`` entry per seed; the
+commits; and the machine stamp (the report's env, the C library and its
 malloc environment variables). ``--workload`` is one of BENCHMARK.json's
-workloads. An existing file is updated in place, one workload at a time, so
-several calls can fill one file: a call for a workload the file already has
-appends its pairs and summarises all of them. A file measured against another
-parent commit is left alone, and the call exits naming it before it runs
-anything. SIGTERM and SIGINT stop it cleanly: the running benchmark is killed
-and the temporary directory removed. Standard library only.
+workloads. A call for a workload the file already has appends its pairs and
+summarises all of them. A file measured against another parent commit is
+left alone, and the call exits naming it before it runs anything. SIGTERM
+and SIGINT stop it cleanly: the running benchmark is killed and the
+temporary directory removed. Standard library only.
 """
 
 from __future__ import annotations
@@ -53,11 +49,15 @@ MALLOC_ENV = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_", "GLIBC_TUNABLE
 
 
 def parse_seeds(text: str) -> list[int]:
-    """``1-5`` or ``1,3,7``."""
+    """``1-5`` or ``1,3,7``; an empty list (``5-1``) is an argument error."""
     if "-" in text:
         lo, hi = text.split("-", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(s) for s in text.split(",")]
+        seeds = list(range(int(lo), int(hi) + 1))
+    else:
+        seeds = [int(s) for s in text.split(",")]
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"no seed in {text!r}")
+    return seeds
 
 
 def parse_args(argv, spec: dict):
@@ -67,7 +67,6 @@ def parse_args(argv, spec: dict):
     p.add_argument("--workload", required=True, choices=[w["name"] for w in spec["workloads"]])
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seeds", type=parse_seeds, default=[1])
-    p.add_argument("--digest-seeds", type=parse_seeds, default=[])
     return p.parse_args(argv)
 
 
@@ -95,8 +94,9 @@ def extract(rev: str, dest: Path) -> Path:
     return dest
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One benchmark run: its result object plus the report's digest and env."""
+def run_once(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+    """One benchmark run: its metric values, output checks and digest, and the
+    report's env."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True,
@@ -109,8 +109,8 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
                          f"{proc.stderr[-2000:]}")
     result = json.loads(lines[-1])
     values = {name: m["value"] for name, m in result["metrics"].items()}
-    values.update(correct=result["correct"], failed=result["failed"])
-    return {"values": values, "digest": report["digest"], "env": report["env"]}
+    values.update(correct=result["correct"], failed=result["failed"], digest=report["digest"])
+    return values, report["env"]
 
 
 def median(values: list[float]) -> float | None:
@@ -176,20 +176,17 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
     return out
 
 
-def check_parent(doc: dict, parent: str, out_path: Path, tool: str) -> None:
-    """Exit, naming ``out_path``, if its ``doc`` was measured against a parent
-    commit other than ``parent``."""
+def load(out_path: Path, rev: str, tool: str) -> tuple[dict, str]:
+    """The document in ``out_path`` ({} if there is none) and the commit id of
+    ``rev``. Exits, naming the file, if the document was measured against
+    another parent commit."""
+    doc = json.loads(out_path.read_text()) if out_path.is_file() else {}
+    parent = git("rev-parse", rev)
     recorded = doc.get("commits", {}).get("parent", parent)
     if recorded != parent:
         raise SystemExit(f"{tool}: {out_path.name} was measured against parent {recorded}, "
                          f"not {parent}; choose another --topic")
-
-
-def order(index: int) -> tuple[str, str]:
-    """The sides of the ``index``-th pair of a list in run order: the parent
-    first when ``index`` is even, so pairs appended by a later call keep
-    alternating."""
-    return ("parent", "change") if index % 2 == 0 else ("change", "parent")
+    return doc, parent
 
 
 def exit_on_signal(signum, frame):
@@ -198,59 +195,80 @@ def exit_on_signal(signum, frame):
     raise SystemExit(128 + signum)
 
 
-def main(argv=None) -> int:
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    args = parse_args(argv, spec)
+def run_pairs(doc: dict, parent: str, kept: list[dict], seeds: list[int], count: int, run,
+               describe) -> list[dict]:
+    """``kept`` and ``count`` new pairs of ``run(tree, seed)``, one run on the
+    tree of commit ``parent`` and one on a git tree of the working tree, both
+    extracted into a temporary directory that is removed at the end. New pair
+    i runs seed ``seeds[i % len(seeds)]``; the parent runs first in the
+    even-numbered pairs of the list. A line naming the pair and
+    ``describe(pair)`` is printed after each; both trees go under ``commits``
+    in ``doc``. SIGTERM stops it as SIGINT does."""
     signal.signal(signal.SIGTERM, exit_on_signal)
-    out_path = ROOT / f"BENCH_{args.topic}.json"
-    doc = json.loads(out_path.read_text()) if out_path.is_file() else {}
-    parent = git("rev-parse", args.parent)
-    check_parent(doc, parent, out_path, "bench_pairs")
-    kept = doc.get("workloads", {}).get(args.workload, {"pairs": []})["pairs"]
     work = Path(tempfile.mkdtemp(prefix="bench_pairs-"))
     try:
         tree = snapshot(work / "index")
-        sides = {"parent": extract(args.parent, work / "parent"),
+        sides = {"parent": extract(parent, work / "parent"),
                  "change": extract(tree, work / "change")}
-        pairs, env = [], None
-        for i in range(args.pairs):
-            seed = args.seeds[i % len(args.seeds)]
-            sides_in_order = order(len(kept) + i)
-            pair = {"seed": seed, "first": sides_in_order[0]}
-            for side in sides_in_order:
-                run = run_once(sides[side], args.workload, seed, spec["run_seconds"])
-                pair[side] = run["values"]
-                env = env or run["env"]
+        pairs = list(kept)
+        for i in range(count):
+            seed = seeds[i % len(seeds)]
+            in_order = ("parent", "change") if len(pairs) % 2 == 0 else ("change", "parent")
+            pair = {"seed": seed, "first": in_order[0]}
+            for side in in_order:
+                pair[side] = run(sides[side], seed)
             pairs.append(pair)
-            print(f"pair {i + 1}/{args.pairs} seed {seed}: " + ", ".join(
-                f"{s} cell_s {pair[s]['cell_s']:.3f}" for s in ("parent", "change")),
-                flush=True)
-        digests = doc.setdefault("digests", {})
-        for seed in args.digest_seeds:
-            got = {side: run_once(tree, args.workload, seed, 1.0)["digest"]
-                   for side, tree in sides.items()}
-            got["equal"] = got["parent"] == got["change"]
-            digests[f"{args.workload} seed {seed}"] = got
-            print(f"digest {args.workload} seed {seed}: equal={got['equal']}", flush=True)
+            print(f"pair {i + 1}/{count} seed {seed}: {describe(pair)}", flush=True)
     finally:
         shutil.rmtree(work, ignore_errors=True)
+    doc["commits"] = {"parent": parent, "change_tree": tree,
+                      "change": f"working tree on {git('rev-parse', 'HEAD')}"}
+    return pairs
 
+
+def digests(workload: str, pairs: list[dict]) -> dict:
+    """One entry per seed of ``pairs``: the digest of each side in the seed's
+    first pair, and ``equal``, true only when every run of both sides gave
+    that one digest. Pairs recorded without digests are left out."""
+    out = {}
+    for p in pairs:
+        got = (p["parent"].get("digest"), p["change"].get("digest"))
+        if got[0] is None:
+            continue
+        entry = out.setdefault(f"{workload} seed {p['seed']}",
+                               {"parent": got[0], "change": got[1], "equal": True})
+        entry["equal"] = entry["equal"] and got[0] == got[1] == entry["parent"]
+    return out
+
+
+def main(argv=None) -> int:
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    args = parse_args(argv, spec)
+    out_path = ROOT / f"BENCH_{args.topic}.json"
+    doc, parent = load(out_path, args.parent, "bench_pairs")
+    kept = doc.get("workloads", {}).get(args.workload, {"pairs": []})["pairs"]
+    envs = []
+
+    def run(tree, seed):
+        values, env = run_once(tree, args.workload, seed, spec["run_seconds"])
+        envs.append(env)
+        return values
+
+    kept = run_pairs(doc, parent, kept, args.seeds, args.pairs, run, lambda pair: ", ".join(
+        f"{s} cell_s {pair[s]['cell_s']:.3f}" for s in ("parent", "change")))
     doc["topic"] = args.topic
     doc["command"] = "python3 perfbench/run.py --workload <w> --seed <s> --seconds " \
                      f"{spec['run_seconds']:g} --trace 0"
     doc["method"] = ("alternating parent/change pairs, each side run from its own extracted "
                      "tree; pair i of a workload's list runs the parent first when i is even. "
-                     "Digests: one run per side with --seconds 1.")
-    doc["commits"] = {"parent": parent, "change_tree": tree,
-                      "change": f"working tree on {git('rev-parse', 'HEAD')}"}
-    if env is not None:
-        doc["machine"] = {k: v for k, v in env.items() if k not in ("commit", "src_sha256")}
+                     "Digests: every run of a seed, both sides.")
+    if envs:
+        doc["machine"] = {k: v for k, v in envs[0].items() if k not in ("commit", "src_sha256")}
         doc["machine"]["libc"] = " ".join(platform.libc_ver())
         doc["machine"].update({k: os.environ.get(k) for k in MALLOC_ENV})
-    if pairs:
-        kept = kept + pairs
-        doc.setdefault("workloads", {})[args.workload] = {"pairs": kept}
-        doc.setdefault("summary", {})[args.workload] = summarize(kept, spec["end_to_end"])
+    doc.setdefault("workloads", {})[args.workload] = {"pairs": kept}
+    doc.setdefault("summary", {})[args.workload] = summarize(kept, spec["end_to_end"])
+    doc.setdefault("digests", {}).update(digests(args.workload, kept))
     out_path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     print(f"wrote {out_path.relative_to(ROOT)}")
     return 0

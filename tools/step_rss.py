@@ -2,30 +2,28 @@
 
 Usage (from the repository root):
 
-    python3 tools/step_rss.py --topic tapeslots --parent HEAD --length 1024 \
-        --batch 16 --steps 6 --pairs 3
+    python3 tools/step_rss.py --topic tapeslots --parent HEAD --pairs 3
 
-Both sides are extracted as ``tools/bench_pairs.py`` extracts them: the
-parent commit, and a git tree of the working tree (untracked files
-included), never the checkout itself, from which the same sources read
-15 MB more max RSS after step 2 at L=1024. Each run is a fresh interpreter
-that imports the package from its tree's ``src`` and calls ``bench.train``
-for one epoch of ``--steps`` FCN (LeakySineLU, Adam) steps of ``--batch``
-series of length ``--length``, on synthetic UCR-shaped data: z-normalised
-noisy sines of 5 classes, drawn from ``--seed``. It reads ``ru_maxrss`` and
-the clock as each step starts and once after the last, so it reports the
-max RSS after every step (a release that breaks heap reuse shows as growth
-on later steps) and each step's seconds. A failed run stops the tool.
+The pairs are ``bench_pairs.run_pairs``'s: each side runs from its own
+extracted tree, never from the checkout, from which the same sources read
+15 MB more max RSS after step 2 at L=1024; pair i of a key's list runs the
+parent first when i is even. Each run is a fresh interpreter that imports
+the package from its tree's ``src`` and calls ``bench.train`` for one epoch
+of ``STEPS`` FCN (LeakySineLU, Adam) steps of ``BATCH`` series of length
+``LENGTH``, on synthetic UCR-shaped data: z-normalised noisy sines of 5
+classes, drawn from ``--seed``. It reads ``ru_maxrss`` and the clock as
+each step starts and once after the last, so it reports the max RSS after
+every step (a release that breaks heap reuse shows as growth on later
+steps) and each step's seconds. A failed run stops the tool.
 
 Results go under ``step_rss`` in ``BENCH_<topic>.json`` at the root, keyed
-by ``L=<length> B=<batch>``: each pair's seed and per-step lists, and
+by ``L=<LENGTH> B=<BATCH>``: each pair's seed and per-step lists, and
 ``bench_pairs.summarize`` over each run's max RSS after step 1 and after
 the last step and its median seconds per step (step 1 left out: it pays
-first-call costs). Files are shared with and kept as ``bench_pairs.py``
-keeps them: a rerun under a key the file has appends its pairs and
-summarises all of them, pair i of a key's list runs the parent first when i
-is even, and a file measured against another parent commit is left alone,
-the call exiting before it runs anything. Standard library only.
+first-call costs). Files are kept as ``bench_pairs.py`` keeps them: a rerun
+appends its pairs and summarises all of them, and a file measured against
+another parent commit is left alone, the call exiting before it runs
+anything. Standard library only.
 """
 
 from __future__ import annotations
@@ -33,17 +31,16 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import shutil
-import signal
 import statistics
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
-from bench_pairs import ROOT, check_parent, exit_on_signal, extract, git, order, snapshot
+from bench_pairs import ROOT, load, run_pairs
 from bench_pairs import summarize as summarize_pairs
 
+# The one L=1024 FCN shape measured: series length, batch size and steps.
+LENGTH, BATCH, STEPS = 1024, 16, 6
 METRICS = [{"name": name, "better": "lower"}
            for name in ("max_rss_mb", "step1_max_rss_mb", "s_per_step")]
 
@@ -87,18 +84,14 @@ def parse_args(argv):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--topic", required=True, help="writes BENCH_<topic>.json")
     p.add_argument("--parent", required=True, help="git revision of the parent")
-    p.add_argument("--length", type=int, default=1024)
-    p.add_argument("--batch", type=int, default=16)
-    p.add_argument("--steps", type=int, default=6)
     p.add_argument("--pairs", type=int, default=3)
     p.add_argument("--seed", type=int, default=1)
     return p.parse_args(argv)
 
 
-def run_once(tree: Path, args) -> dict:
+def run_once(tree: Path, seed: int) -> dict:
     """One fresh-process run in ``tree``: per-step max RSS (MB) and seconds."""
-    cmd = [sys.executable, "-c", CHILD, str(args.length), str(args.batch), str(args.steps),
-           str(args.seed)]
+    cmd = [sys.executable, "-c", CHILD, str(LENGTH), str(BATCH), str(STEPS), str(seed)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, timeout=3600,
                           env={**os.environ, "PYTHONPATH": str(tree / "src")})
     if proc.returncode != 0:
@@ -120,40 +113,20 @@ def summarize(pairs: list[dict]) -> dict:
         [{side: per_run(p[side]) for side in ("parent", "change")} for p in pairs], METRICS)
 
 
+def describe(pair: dict) -> str:
+    return ", ".join(f"{s} max RSS {pair[s]['rss_mb'][0]:.1f} -> {pair[s]['rss_mb'][-1]:.1f} MB "
+                     "(step 1 -> last)" for s in ("parent", "change"))
+
+
 def main(argv=None, out_dir: Path = ROOT) -> int:
     args = parse_args(argv)
-    signal.signal(signal.SIGTERM, exit_on_signal)
     out_path = out_dir / f"BENCH_{args.topic}.json"
-    doc = json.loads(out_path.read_text()) if out_path.is_file() else {}
-    parent = git("rev-parse", args.parent)
-    check_parent(doc, parent, out_path, "step_rss")
-    key = f"L={args.length} B={args.batch}"
+    doc, parent = load(out_path, args.parent, "step_rss")
+    key = f"L={LENGTH} B={BATCH}"
     kept = doc.get("step_rss", {}).get(key, {"pairs": []})["pairs"]
-    work = Path(tempfile.mkdtemp(prefix="step_rss-"))
-    try:
-        tree = snapshot(work / "index")
-        sides = {"parent": extract(args.parent, work / "parent"),
-                 "change": extract(tree, work / "change")}
-        pairs = []
-        for i in range(args.pairs):
-            sides_in_order = order(len(kept) + i)
-            pair = {"seed": args.seed, "first": sides_in_order[0]}
-            for side in sides_in_order:
-                pair[side] = run_once(sides[side], args)
-            pairs.append(pair)
-            print(f"pair {i + 1}/{args.pairs}: " + ", ".join(
-                f"{s} max RSS {pair[s]['rss_mb'][0]:.1f} -> {pair[s]['rss_mb'][-1]:.1f} MB "
-                "(step 1 -> last)" for s in ("parent", "change")),
-                flush=True)
-    finally:
-        shutil.rmtree(work, ignore_errors=True)
-
-    doc["commits"] = {"parent": parent, "change_tree": tree,
-                      "change": f"working tree on {git('rev-parse', 'HEAD')}"}
-    kept = kept + pairs
+    kept = run_pairs(doc, parent, kept, [args.seed], args.pairs, run_once, describe)
     doc.setdefault("step_rss", {})[key] = {
         "command": f"python3 tools/step_rss.py --topic {args.topic} --parent {args.parent} "
-                   f"--length {args.length} --batch {args.batch} --steps {args.steps} "
                    f"--pairs {args.pairs} --seed {args.seed}",
         "pairs": kept,
         "summary": summarize(kept),
