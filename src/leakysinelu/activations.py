@@ -5,11 +5,12 @@ sigmoid, tanh, sine, relu, elu, prelu, gelu, silu, snake, leakysinelu.
 All math is evaluated in 64-bit floats. Functions accept scalars or numpy
 arrays and broadcast elementwise.
 
-An activation is one record of this module's registry, keyed by its name:
-one formula that gives its value and derivative together, its property row
-(limits at +-inf, monotonicity, semi-periodic period), its parameter
-values and trainable set, and its kink slopes. Adding an activation means
-adding one record, and nothing outside this file.
+An activation is one ``PropertyRecord`` of this module's registry, keyed
+by its name: one formula that gives its value and derivative together, its
+property row (limits at +-inf, monotonicity, semi-periodic period), its
+parameter values and trainable set with the partial in that parameter, and
+its kink slopes. ``catalog()`` returns that record itself, read-only. Adding
+an activation means adding one record, and nothing outside this file.
 
 A kind is its name. The catalog fixes each kind's parameter values and
 trainable set: PReLU's alpha starts at 0.25 and trains (He et al. 2015),
@@ -86,7 +87,7 @@ class ActivationKind:
 
     @property
     def params(self) -> Mapping[str, float]:
-        return MappingProxyType(_REGISTRY[self.name].defaults)
+        return _REGISTRY[self.name].defaults
 
     @property
     def learnable(self) -> frozenset[str]:
@@ -103,24 +104,6 @@ class Subdifferential:
     @property
     def is_singleton(self) -> bool:
         return self.lower == self.upper
-
-
-@dataclass(frozen=True)
-class PropertyRecord:
-    """Static properties of one activation kind.
-
-    ``lower_limit`` / ``upper_limit`` are the limits of the function as x
-    tends to -inf / +inf: a finite float, +-inf, or None when the limit
-    does not exist. ``deviation`` is set when the stored value intentionally
-    differs from the commonly tabulated one (see the sine entry).
-    """
-
-    kind: ActivationKind
-    lower_limit: float | None
-    upper_limit: float | None
-    monotonic: bool
-    semi_periodic_period: float | None = None
-    deviation: str | None = None
 
 
 def _sigmoid(x):
@@ -173,80 +156,95 @@ def _leakysinelu_pair(x):
 
 
 @dataclass(frozen=True)
-class _Entry:
-    """Everything known about one activation.
+class PropertyRecord:
+    """Everything known about one activation; ``catalog()`` returns it.
 
     ``formula`` takes ``(x, params)`` with x a float64 scalar or array and
     gives ``(value, derivative)`` in one call, computing their shared term
     (a sigmoid, a tanh, a normal CDF, one tan) once; the derivative is the
-    canonical sub-gradient at a kink. ``defaults`` and ``learnable`` fix the
-    kind's parameter values and the ones a model trains: a kind is its name,
-    and no caller sets either. ``limits`` are the limits at -inf and
-    +inf (None when there is none), ``period`` is the semi-periodic period
-    and ``kink_slopes`` the one-sided slopes (left, right) at the kink x = 0.
+    canonical sub-gradient at a kink. ``lower_limit`` / ``upper_limit`` are
+    the limits of the function as x tends to -inf / +inf: a finite float,
+    +-inf, or None when the limit does not exist. ``deviation`` is set when
+    the stored value intentionally differs from the commonly tabulated one
+    (see the sine record). ``defaults`` and ``learnable`` fix the kind's
+    parameter values and the ones a model trains: a kind is its name, and no
+    caller sets either. Both are stored read-only, so the record a caller
+    gets cannot change the catalog. ``param_formula`` takes ``(x, params)``
+    and gives the partial of the value in the trainable parameter; a record
+    has one exactly when ``learnable`` is not empty. ``kink_slopes`` are the
+    one-sided slopes (left, right) at the kink x = 0.
     """
 
     formula: Callable
-    limits: tuple[float | None, float | None]
+    lower_limit: float | None
+    upper_limit: float | None
     monotonic: bool
-    period: float | None = None
+    semi_periodic_period: float | None = None
     deviation: str | None = None
     defaults: Mapping[str, float] = field(default_factory=dict)
     learnable: frozenset[str] = frozenset()
+    param_formula: Callable | None = None
     kink_slopes: tuple[float, float] | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "defaults", MappingProxyType(dict(self.defaults)))
+        object.__setattr__(self, "learnable", frozenset(self.learnable))
 
 
 _INF = float("inf")
 
 # Insertion order is ACTIVATION_NAMES, which orders sweep cells and stats columns.
-_REGISTRY: dict[str, _Entry] = {
-    "sigmoid": _Entry(
+_REGISTRY: dict[str, PropertyRecord] = {
+    "sigmoid": PropertyRecord(
         formula=lambda x, p: (s := _sigmoid(x), s * (1.0 - s)),
-        limits=(0.0, 1.0), monotonic=True,
+        lower_limit=0.0, upper_limit=1.0, monotonic=True,
     ),
-    "tanh": _Entry(
+    "tanh": PropertyRecord(
         formula=lambda x, p: (t := np.tanh(x), 1.0 - np.square(t)),
-        limits=(-1.0, 1.0), monotonic=True,
+        lower_limit=-1.0, upper_limit=1.0, monotonic=True,
     ),
-    "sine": _Entry(
+    "sine": PropertyRecord(
         formula=lambda x, p: (np.sin(x), np.cos(x)),
-        limits=(None, None), monotonic=False, period=2.0 * math.pi,
+        lower_limit=None, upper_limit=None, monotonic=False,
+        semi_periodic_period=2.0 * math.pi,
         deviation=("commonly tabulated as bounded in [0, 1]; sin(x) has no limit at +-inf "
                    "and its range is [-1, 1], so no limit is stored"),
     ),
-    "relu": _Entry(
+    "relu": PropertyRecord(
         formula=lambda x, p: (np.maximum(0.0, x), np.where(x > 0, 1.0, 0.0)),
-        limits=(0.0, _INF), monotonic=True, kink_slopes=(0.0, 1.0),
+        lower_limit=0.0, upper_limit=_INF, monotonic=True, kink_slopes=(0.0, 1.0),
     ),
-    "elu": _Entry(
+    "elu": PropertyRecord(
         formula=lambda x, p: (
             np.where(pos := x > 0, x, np.expm1(neg := np.minimum(x, 0.0))),
             np.where(pos, 1.0, np.exp(neg)),
         ),
-        limits=(-1.0, _INF), monotonic=True, defaults={"alpha": 1.0},
+        lower_limit=-1.0, upper_limit=_INF, monotonic=True, defaults={"alpha": 1.0},
     ),
-    "prelu": _Entry(
+    "prelu": PropertyRecord(
         formula=lambda x, p: (np.where(keep := x >= 0, x, p["alpha"] * x),
                               np.where(keep, 1.0, p["alpha"])),
-        limits=(-_INF, _INF), monotonic=True,
-        defaults={"alpha": 0.25}, learnable=frozenset({"alpha"}),
+        lower_limit=-_INF, upper_limit=_INF, monotonic=True,
+        defaults={"alpha": 0.25}, learnable={"alpha"},
+        param_formula=lambda x, p: np.where(x < 0, x, 0.0),
         kink_slopes=(0.25, 1.0),
     ),
-    "gelu": _Entry(
+    "gelu": PropertyRecord(
         formula=lambda x, p: (x * (c := _ndtr(x)), c + x * _phi(x)),
-        limits=(0.0, _INF), monotonic=False,
+        lower_limit=0.0, upper_limit=_INF, monotonic=False,
     ),
-    "silu": _Entry(
+    "silu": PropertyRecord(
         formula=lambda x, p: (x * (s := _sigmoid(x)), s * (1.0 + x * (1.0 - s))),
-        limits=(0.0, _INF), monotonic=False,
+        lower_limit=0.0, upper_limit=_INF, monotonic=False,
     ),
-    "snake": _Entry(
+    "snake": PropertyRecord(
         formula=lambda x, p: _snake_pair(x),
-        limits=(-_INF, _INF), monotonic=True, period=math.pi, defaults={"a": 1.0},
+        lower_limit=-_INF, upper_limit=_INF, monotonic=True, semi_periodic_period=math.pi,
+        defaults={"a": 1.0},
     ),
-    "leakysinelu": _Entry(
+    "leakysinelu": PropertyRecord(
         formula=lambda x, p: _leakysinelu_pair(x),
-        limits=(-_INF, _INF), monotonic=True, period=math.pi,
+        lower_limit=-_INF, upper_limit=_INF, monotonic=True, semi_periodic_period=math.pi,
         # One-sided limits of sin(2x)+1 and its halved branch.
         kink_slopes=(0.5, 1.0),
     ),
@@ -323,13 +321,13 @@ def array_derivative(kind, x, params=None) -> np.ndarray:
 
 def param_derivative(kind, x, params) -> np.ndarray:
     """Elementwise partial of the output w.r.t. the kind's trainable parameter,
-    for ``autodiff.activate(..., param=)``: PReLU's alpha is the only one."""
+    for ``autodiff.activate(..., param=)``: the record's ``param_formula``."""
     kind = _as_kind(kind)
-    _params(kind, params)
-    if kind.name != "prelu":
+    params = _params(kind, params)
+    param_formula = _REGISTRY[kind.name].param_formula
+    if param_formula is None:
         raise ConfigError(f"{kind.name} has no trainable parameter")
-    x = np.asarray(x, dtype=np.float64)
-    return np.where(x < 0, x, 0.0)
+    return param_formula(np.asarray(x, dtype=np.float64), params)
 
 
 def _finite_input(x: float) -> float:
@@ -368,15 +366,6 @@ def subdifferential(kind, x: float) -> Subdifferential:
 
 
 def catalog(kind) -> PropertyRecord:
-    """Static property record: limits at +-inf, monotonicity, periodicity."""
-    kind = _as_kind(kind)
-    entry = _REGISTRY[kind.name]
-    return PropertyRecord(
-        kind=kind,
-        lower_limit=entry.limits[0],
-        upper_limit=entry.limits[1],
-        monotonic=entry.monotonic,
-        semi_periodic_period=entry.period,
-        deviation=entry.deviation,
-    )
-
+    """The kind's record itself (read-only): limits at +-inf, monotonicity,
+    periodicity, formula, parameters and kink slopes."""
+    return _REGISTRY[_as_kind(kind).name]

@@ -193,24 +193,20 @@ def forward(
 ) -> ad.Tensor:
     """Run the layer sequence on a batch, returning the head logits (B, H).
 
-    Accepts (B, L) or (B, 1, L) input. Pass ``param_tensors`` (from
-    ``wrap_params``) to read back parameter gradients after ``backward``.
+    Takes (B, L) input. Pass ``param_tensors`` (from ``wrap_params``) to
+    read back parameter gradients after ``backward``.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 3 and x.shape[1] == 1:
-        flat = x[:, 0, :]
-    elif x.ndim == 2:
-        flat = x
-    else:
-        raise ShapeError(f"expected (B, L) or (B, 1, L) input, got {x.shape}")
-    if flat.shape[1] != spec.input_length:
+    if x.ndim != 2:
+        raise ShapeError(f"expected (B, L) input, got {x.shape}")
+    if x.shape[1] != spec.input_length:
         raise ShapeError(
-            f"input length {flat.shape[1]} does not match spec ({spec.input_length})"
+            f"input length {x.shape[1]} does not match spec ({spec.input_length})"
         )
     pt = param_tensors if param_tensors is not None else wrap_params(state)
     # The FCN body is channel-major, (C, B, L), up to global_avg_pool, which
     # hands (B, C) to the head. The data batch needs no gradient.
-    cur = ad.Tensor(flat if spec.architecture == "mlp" else flat[None], requires_grad=False)
+    cur = ad.Tensor(x if spec.architecture == "mlp" else x[None], requires_grad=False)
     for i, layer in enumerate(spec.layers):
         kind = layer["type"]
         if kind == "dropout":

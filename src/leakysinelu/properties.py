@@ -35,6 +35,7 @@ __all__ = [
 
 CONVERGENCE_TOL = 1e-9
 MONOTONE_TOL = 1e-12
+PERIOD_TOL = 1e-12  # max |sigma'(x + T) - sigma'(x)| of a semi-periodic kind
 DEAD_TOL = 1e-12
 LIMIT_MAGNITUDES = (1e3, 1e6, 1e9)  # |x| at which each tail is probed
 PROBE_GRID = np.linspace(-20.0, 20.0, 10_000)  # monotonicity and value-range samples
@@ -278,6 +279,9 @@ def property_report(kind) -> PropertyReport:
         )
     if monotone != record.monotonic:
         mismatches.append(f"monotone: probed {monotone}, catalog {record.monotonic}")
+    if max_dev is not None and max_dev > PERIOD_TOL:
+        mismatches.append(f"semi-periodicity: derivative deviates by {max_dev:.3g} over "
+                          f"period {period}, tolerance {PERIOD_TOL}")
     return PropertyReport(
         kind=kind,
         limit_neg=neg,

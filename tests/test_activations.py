@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from leakysinelu import activations as zoo
+from leakysinelu import autodiff as ad
 from leakysinelu import properties
 from leakysinelu.errors import ConfigError, DomainError
 
@@ -125,31 +127,6 @@ class TestSubdifferential:
 
 
 class TestCatalog:
-    def test_leakysinelu_row(self):
-        rec = zoo.catalog(zoo.activation("leakysinelu"))
-        assert rec.lower_limit == -math.inf and rec.upper_limit == math.inf
-        assert rec.monotonic and rec.semi_periodic_period == math.pi
-
-    def test_sigmoid_row(self):
-        rec = zoo.catalog(zoo.activation("sigmoid"))
-        assert (rec.lower_limit, rec.upper_limit, rec.monotonic) == (0.0, 1.0, True)
-
-    def test_gelu_not_monotone(self):
-        assert not zoo.catalog(zoo.activation("gelu")).monotonic
-
-    def test_sine_stores_documented_deviation(self):
-        rec = zoo.catalog(zoo.activation("sine"))
-        assert rec.lower_limit is None and rec.upper_limit is None
-        assert rec.deviation is not None
-
-    def test_bounded_rows(self):
-        assert zoo.catalog("tanh").lower_limit == -1.0
-        assert zoo.catalog("elu").lower_limit == -1.0
-        assert zoo.catalog("relu").lower_limit == 0.0
-        assert zoo.catalog("gelu").lower_limit == 0.0
-        assert zoo.catalog("silu").lower_limit == 0.0
-        assert zoo.catalog("prelu").lower_limit == -math.inf
-
     def test_every_record_is_pinned(self):
         # name: (lower, upper, monotonic, period, deviation), kinks, subdifferential at 0
         inf, sine_note = math.inf, (
@@ -174,6 +151,33 @@ class TestCatalog:
                     rec.semi_periodic_period, rec.deviation) == row, name
             assert zoo.kink_points(name) == kinks, name
             assert zoo.subdifferential(name, 0.0) == zoo.Subdifferential(*slopes), name
+
+    @pytest.mark.parametrize("name", zoo.ACTIVATION_NAMES)
+    def test_catalog_is_the_registry_record(self, name):
+        kind = zoo.activation(name)
+        assert zoo.catalog(name) is zoo.catalog(kind) is zoo._REGISTRY[name]
+        assert kind.params is zoo.catalog(name).defaults
+
+    @pytest.mark.parametrize("name", zoo.ACTIVATION_NAMES)
+    def test_defaults_are_read_only(self, name):
+        rec = zoo.catalog(name)
+        with pytest.raises(TypeError):
+            rec.defaults["alpha"] = 0.5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rec.defaults = {"alpha": 0.5}
+
+    def test_a_record_keeps_no_callers_dict(self):
+        defaults, learnable = {"s": 1.0}, {"s"}
+        rec = zoo.PropertyRecord(formula=None, lower_limit=None, upper_limit=None,
+                                 monotonic=False, defaults=defaults, learnable=learnable)
+        defaults["s"] = 2.0
+        learnable.add("t")
+        assert rec.defaults == {"s": 1.0} and rec.learnable == frozenset({"s"})
+
+    @pytest.mark.parametrize("name", zoo.ACTIVATION_NAMES)
+    def test_param_formula_exactly_when_learnable(self, name):
+        rec = zoo.catalog(name)
+        assert (rec.param_formula is not None) == bool(rec.learnable)
 
 
 class TestConfig:
@@ -305,9 +309,9 @@ class TestRegistry:
         )
 
     def test_one_entry_adds_an_activation(self, monkeypatch):
-        identity = zoo._Entry(
+        identity = zoo.PropertyRecord(
             formula=lambda x, p: (x, np.ones_like(x)),
-            limits=(-math.inf, math.inf), monotonic=True,
+            lower_limit=-math.inf, upper_limit=math.inf, monotonic=True,
         )
         monkeypatch.setattr(zoo, "_REGISTRY", {**zoo._REGISTRY, "identity": identity})
         kind = zoo.activation("identity")
@@ -326,3 +330,25 @@ class TestRegistry:
             zoo.activation("swish")
         with pytest.raises(ConfigError, match="no trainable parameter"):
             zoo.param_derivative(kind, x, {})
+
+    def test_one_record_adds_a_trainable_activation(self, monkeypatch):
+        # s * x that trains s: nothing outside this record names it.
+        scale = zoo.PropertyRecord(
+            formula=lambda x, p: (p["s"] * x, p["s"] * np.ones_like(x)),
+            lower_limit=-math.inf, upper_limit=math.inf, monotonic=True,
+            defaults={"s": 2.0}, learnable={"s"}, param_formula=lambda x, p: x,
+        )
+        monkeypatch.setattr(zoo, "_REGISTRY", {**zoo._REGISTRY, "scale": scale})
+        kind = zoo.activation("scale")
+        assert kind.params == {"s": 2.0} and kind.learnable == {"s"}
+        assert zoo.kind_from_dict(zoo.kind_to_dict(kind)) == kind
+        rng = np.random.default_rng(29)
+        x = ad.Tensor(rng.normal(size=(4, 3)))
+        s = ad.Tensor(np.array([0.5, 1.0, 2.0]))
+        tape = ad.Tape()
+        out = ad.activate(x, kind, tape, param=s)
+        tape.backward(ad.mse(out, np.zeros((4, 3)), tape))
+        # loss = mean((s x)^2) over 12 elements
+        assert np.allclose(out.data, s.data * x.data, rtol=0.0, atol=1e-15)
+        assert np.allclose(s.grad, (2.0 * s.data * x.data**2).sum(axis=0) / 12, rtol=1e-14)
+        assert np.allclose(x.grad, 2.0 * s.data**2 * x.data / 12, rtol=1e-14)

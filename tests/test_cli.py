@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from leakysinelu import activations as zoo
 from leakysinelu import cli, errors
 from leakysinelu.cli import main
 
@@ -53,6 +55,14 @@ class TestAnalyze:
         doc = json.loads((outdir / "properties_leakysinelu.json").read_text())
         assert doc["limit_neg"]["verdict"] == "diverges"
         assert doc["monotone"] is True
+
+    def test_wrong_period_exits_1(self, tmp_path, capsys, monkeypatch):
+        wrong = dataclasses.replace(zoo.catalog("leakysinelu"), semi_periodic_period=2.0)
+        monkeypatch.setattr(zoo, "_REGISTRY", {**zoo._REGISTRY, "leakysinelu": wrong})
+        assert run(["analyze", "--activation", "all", "--out", str(tmp_path)]) == 1
+        out = capsys.readouterr().out
+        assert "leakysinelu: MISMATCH semi-periodicity: derivative deviates by " in out
+        assert "snake: ok" in out
 
     def test_unknown_activation_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

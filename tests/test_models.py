@@ -75,7 +75,7 @@ class TestBuildFcn:
     def test_forward_shape_trace(self):
         spec = build_fcn(96, 5, "snake")
         state = init_params(spec, 0)
-        x = np.random.default_rng(0).normal(size=(4, 1, 96))
+        x = np.random.default_rng(0).normal(size=(4, 96))
         assert forward(spec, state, x).data.shape == (4, 5)
 
     def test_norm_disabled(self):
@@ -130,8 +130,8 @@ class TestForward:
         rng = np.random.default_rng(0)
         flat = forward(spec, state, rng.normal(size=(batch, 24)))
         assert flat.data.shape == (batch, 3)
-        chan = forward(spec, state, rng.normal(size=(batch, 1, 24)))
-        assert chan.data.shape == (batch, 3)
+        with pytest.raises(ShapeError, match=r"expected \(B, L\) input"):
+            forward(spec, state, rng.normal(size=(batch, 1, 24)))
 
     def test_wrong_length_rejected(self):
         spec = build_mlp(24, 3, "relu")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from leakysinelu import activations as zoo
 from leakysinelu.errors import ConfigError, ContractError
 from leakysinelu.properties import (
+    PERIOD_TOL,
     FourierSeries,
     affine_collapse,
     check_limits,
@@ -185,6 +187,14 @@ class TestPropertyReport:
     def test_probes_agree_with_catalog(self, name):
         report = property_report(name)
         assert report.matches_catalog, report.mismatches
+
+    def test_wrong_period_is_a_mismatch(self, monkeypatch):
+        wrong = dataclasses.replace(zoo.catalog("leakysinelu"), semi_periodic_period=2.0)
+        monkeypatch.setattr(zoo, "_REGISTRY", {**zoo._REGISTRY, "leakysinelu": wrong})
+        report = property_report("leakysinelu")
+        assert not report.matches_catalog
+        assert [m.split(":")[0] for m in report.mismatches] == ["semi-periodicity"]
+        assert report.semi_periodic_max_dev > PERIOD_TOL
 
     def test_sine_carries_table_note(self):
         assert property_report("sine").table_note is not None
